@@ -17,30 +17,25 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all --check
 
-step "time-unit lint"
-# All time quantities are integer microseconds (`SimTime`/`TimeDelta` in
-# crates/platform/src/units.rs). The old grep lived here; the logic now
-# lives (tested, token-aware, suppression-audited) in crates/lint —
-# string literals no longer false-positive, and exemptions are inline
-# `// eua-lint: allow(...)` directives instead of path filters. The
-# walker skips vendor/, target/, and fixture corpora on its own.
-cargo run -q -p eua-lint -- check --only lint-time-unit,lint-wall-clock
-
-step "thread-spawn lint"
-# All first-party parallelism goes through the scoped-thread pool in
-# crates/sim/src/pool.rs (deterministic ordering, panic containment,
-# --jobs / EUA_JOBS resolution); the one sanctioned raw-thread site
-# carries an inline allow.
-cargo run -q -p eua-lint -- check --only lint-thread-spawn
-
-step "unsafe-code audit"
-# Every first-party crate carries the workspace forbid; the lint
-# additionally keeps the bare keyword out of code *and* comments so the
-# forbid can never be weakened quietly in a later diff.
-cargo run -q -p eua-lint -- check --only lint-unsafe-token
-
 step "eua-lint workspace scan (interprocedural, all codes)"
-# The full scan: the lexical rules (hash-collection ordering, float
+# The full scan checks every lint code and fails the gate on any
+# finding, so no `--only` step re-checks a subset of it. Among the codes:
+# - time units: all time quantities are integer microseconds
+#   (`SimTime`/`TimeDelta` in crates/platform/src/units.rs), and wall
+#   clocks stay out of the simulation (lint-time-unit, lint-wall-clock);
+# - threads: all first-party parallelism goes through the scoped-thread
+#   pool in crates/sim/src/pool.rs (deterministic ordering, panic
+#   containment, --jobs / EUA_JOBS resolution); the one sanctioned
+#   raw-thread site carries an inline allow (lint-thread-spawn);
+# - unsafe: every first-party crate carries the workspace forbid, and
+#   the bare keyword stays out of code *and* comments so the forbid can
+#   never be weakened quietly in a later diff (lint-unsafe-token).
+# The token-aware lexer keeps string literals from false-positiving,
+# exemptions are inline `// eua-lint: allow(...)` directives (audited
+# when unused), and the walker skips vendor/, target/, and fixture
+# corpora on its own.
+#
+# Beside those: the other lexical rules (hash-collection ordering, float
 # sorts via partial_cmp, entropy-seeded RNGs, …) plus the call-graph
 # pass — `// eua-lint: hot` propagation with rendered chains, time-unit
 # flow at resolved call edges, pool-closure purity, and the

@@ -525,6 +525,23 @@ impl fmt::Display for DiagCode {
     }
 }
 
+/// The `codes` listing shared by the diagnostic CLIs: one line per code
+/// with its default severity and summary.
+#[must_use]
+pub fn render_codes(codes: &[DiagCode]) -> String {
+    codes
+        .iter()
+        .map(|code| {
+            format!(
+                "{:<36} {:<8} {}\n",
+                code.as_str(),
+                code.default_severity().as_str(),
+                code.summary()
+            )
+        })
+        .collect()
+}
+
 /// One finding: a code, its severity, the entity concerned, a message,
 /// and an optional remedy.
 #[derive(Debug, Clone, PartialEq)]

@@ -67,13 +67,16 @@ pub use demand::{
     feasibility_floor, frequency_verdicts, verdict_at_fmax, FrequencyVerdict, Verdict,
     WitnessWindow,
 };
-pub use diagnostic::{render_json_reports, DiagCode, Diagnostic, Report, Severity};
+pub use diagnostic::{render_codes, render_json_reports, DiagCode, Diagnostic, Report, Severity};
 pub use energy::{energy_profiles, EnergyProfile};
 pub use examples::shipped_scenarios;
 pub use fix::{apply_fixes, AppliedFix};
 pub use ir::{lower, AnalysisIr, FreqIr, TaskIr};
 pub use passes::{analyze, Pass, PassRegistry};
-pub use sarif::{render_sarif, render_sarif_with_regions, render_sarif_with_spans, validate_sarif};
+pub use sarif::{
+    render_sarif, render_sarif_with_regions, render_sarif_with_spans, sarif_self_check,
+    validate_sarif,
+};
 pub use scenario::{
     DemandSpec, EnergySpec, FaultSpec, ParseError, ScenarioSpec, TaskSpec, TufSpec,
 };

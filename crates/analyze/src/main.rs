@@ -17,8 +17,8 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use eua_analyze::{
-    analyze, apply_fixes, render_json_reports, render_sarif_with_spans, shipped_scenarios,
-    validate_sarif, DiagCode, Report, ScenarioSpec, SourceMap,
+    analyze, apply_fixes, render_codes, render_json_reports, render_sarif_with_spans,
+    sarif_self_check, shipped_scenarios, DiagCode, Report, ScenarioSpec, SourceMap,
 };
 
 /// Writes to stdout, exiting quietly if the reader went away (e.g. the
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => run_check(&args[1..]),
         Some("codes") => {
-            run_codes();
+            emit(&render_codes(&DiagCode::ALL));
             ExitCode::SUCCESS
         }
         Some("--help" | "-h" | "help") => {
@@ -208,16 +208,6 @@ fn load_spec_with_spans(file: &str) -> Result<(ScenarioSpec, SourceMap), String>
     ScenarioSpec::parse_with_spans(&text).map_err(|e| format!("`{file}`: {e}"))
 }
 
-/// Asserts the SARIF output byte-round-trips through the first-party
-/// JSON tree and satisfies the pinned SARIF 2.1.0 subset.
-fn sarif_self_check(text: &str) -> Result<(), String> {
-    let reparsed = eua_analyze::json::parse(text)?;
-    if reparsed.render() != text {
-        return Err("render(parse(output)) differs from output".into());
-    }
-    validate_sarif(text)
-}
-
 /// `check --fix`: applies machine-applicable rewrites. Dry-run prints
 /// each fixed scenario to stdout; `--apply` rewrites the files in place.
 /// The summary of applied fixes goes to stderr either way, and the exit
@@ -266,17 +256,5 @@ fn run_fix(files: &[&str], apply: bool) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Prints every diagnostic code with its default severity and summary.
-fn run_codes() {
-    for code in DiagCode::ALL {
-        emit(&format!(
-            "{:<36} {:<8} {}\n",
-            code.as_str(),
-            code.default_severity().as_str(),
-            code.summary()
-        ));
     }
 }

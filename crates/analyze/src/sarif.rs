@@ -322,6 +322,21 @@ pub fn validate_sarif(text: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--format sarif --check` gate shared by the diagnostic CLIs: the
+/// document must byte-round-trip through the JSON layer and validate
+/// against the pinned SARIF subset.
+///
+/// # Errors
+///
+/// A message naming the round-trip drift or the first structural
+/// violation.
+pub fn sarif_self_check(text: &str) -> Result<(), String> {
+    if json::parse(text)?.render() != text {
+        return Err("render(parse(output)) differs from output".into());
+    }
+    validate_sarif(text)
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -18,7 +18,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use eua_analyze::{render_json_reports, render_sarif, validate_sarif, Report};
+use eua_analyze::{render_codes, render_json_reports, render_sarif, sarif_self_check, Report};
 use eua_audit::{audit_text, AUDIT_CODES};
 
 /// Writes to stdout, exiting quietly if the reader went away (e.g. the
@@ -62,7 +62,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => run_check(&args[1..]),
         Some("codes") => {
-            run_codes();
+            emit(&render_codes(&AUDIT_CODES));
             ExitCode::SUCCESS
         }
         Some("--help" | "-h" | "help") => {
@@ -157,27 +157,5 @@ fn run_check(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Asserts the SARIF output byte-round-trips through the first-party
-/// JSON tree and satisfies the pinned SARIF 2.1.0 subset.
-fn sarif_self_check(text: &str) -> Result<(), String> {
-    let reparsed = eua_analyze::json::parse(text)?;
-    if reparsed.render() != text {
-        return Err("render(parse(output)) differs from output".into());
-    }
-    validate_sarif(text)
-}
-
-/// Prints every audit diagnostic code with its severity and summary.
-fn run_codes() {
-    for code in AUDIT_CODES {
-        emit(&format!(
-            "{:<36} {:<8} {}\n",
-            code.as_str(),
-            code.default_severity().as_str(),
-            code.summary()
-        ));
     }
 }

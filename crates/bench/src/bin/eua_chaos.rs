@@ -134,7 +134,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         for &cell in failing.iter().take(shrink_limit) {
-            let case = match shrink::case_from_chaos_cell(&config, cell) {
+            let plan = chaos::plan_cell(&config, cell);
+            let case = match shrink::case_from_chaos_cell(&config, &plan) {
                 Ok(case) => case,
                 Err(e) => {
                     eprintln!("cell {cell}: cannot rebuild for shrinking: {e}");

@@ -25,20 +25,17 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use eua_analyze::scenario::{EnergySpec, FaultSpec, ScenarioSpec};
+use eua_analyze::scenario::{FaultSpec, ScenarioSpec};
 use eua_analyze::{DiagCode, Report, Severity};
-use eua_core::make_policy;
-use eua_platform::{EnergySetting, Frequency, FrequencyTable, TimeDelta};
-use eua_sim::{
-    classify_degradation, map_parallel_settle, DegradationClass, Engine, FaultPlan, Platform,
-    PoolError, SimConfig, DEFAULT_COLLAPSE_FRACTION,
-};
+use eua_platform::TimeDelta;
+use eua_sim::{map_parallel_settle, FaultPlan, PoolError};
 use eua_workload::UniverseFamily;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::json::Json;
 use crate::robustness::FaultFamily;
+use crate::shrink::{case_from_chaos_cell, run_case, CaseRun};
 
 /// Schema tag of the journal's header line.
 pub const JOURNAL_SCHEMA: &str = "eua-chaos-journal/1";
@@ -179,29 +176,6 @@ pub fn plan_cell(config: &ChaosConfig, index: u32) -> CellPlan {
     }
 }
 
-/// Renders cell `index`'s scenario to canonical `.scn` text (the same
-/// text the cell executor round-trips before simulating). Exposed so
-/// the determinism suite can pin byte-identity across `--jobs` counts.
-///
-/// # Errors
-///
-/// Propagates universe-generation and `.scn` lowering failures.
-pub fn cell_scenario_text(config: &ChaosConfig, index: u32) -> Result<String, String> {
-    let plan = plan_cell(config, index);
-    let scenario = plan
-        .family
-        .generate(
-            plan.universe_cell,
-            config.master_seed,
-            Frequency::from_mhz(100),
-        )
-        .map_err(|e| format!("universe generation failed: {e}"))?;
-    let table = FrequencyTable::powernow_k6();
-    let spec =
-        ScenarioSpec::from_workload(&scenario.name, &scenario.workload, &table, EnergySpec::e1())?;
-    Ok(spec.render())
-}
-
 /// Audit errors the injected fault plan does *not* explain. An
 /// injected UAM burst or arrival jitter makes the certified arrival
 /// stream violate the declared `⟨a, P⟩` on purpose, and the audit
@@ -219,72 +193,28 @@ pub fn unexpected_audit_errors(report: &Report, plan: &FaultPlan) -> u64 {
         .count() as u64
 }
 
-/// What a surviving (non-panicking) cell reports back from the pool.
-struct CellOutcome {
-    grade: DegradationClass,
-    utility_ratio: f64,
-    audit_errors: u64,
-}
-
-/// Runs one cell end to end. Any internal failure — universe
-/// generation, `.scn` render drift, unknown policy, simulation error —
-/// panics, and the pool settles the panic into the cell's record.
-fn execute_cell(config: &ChaosConfig, platform: &Platform, index: u32) -> CellOutcome {
-    let plan = plan_cell(config, index);
-    let scenario = plan
-        .family
-        .generate(plan.universe_cell, config.master_seed, platform.f_max())
-        .unwrap_or_else(|e| panic!("universe generation failed: {e}"));
-    let table = FrequencyTable::powernow_k6();
-    let spec =
-        ScenarioSpec::from_workload(&scenario.name, &scenario.workload, &table, EnergySpec::e1())
-            .unwrap_or_else(|e| panic!("scenario lowering failed: {e}"));
-    // The campaign's repro path is the `.scn` text, so the cell
-    // simulates what the text says — after checking the text is an
-    // exact fixed point of parse ∘ render (drift here would desync the
+/// Runs one cell end to end: its [`crate::shrink::ShrinkCase`], checked
+/// to be an exact fixed point of `.scn` parse ∘ render, through the
+/// shrinker's own executor. Any internal failure — universe generation,
+/// render drift, unknown policy, simulation error — panics, and the
+/// pool settles the panic into the cell's record.
+fn execute_cell(config: &ChaosConfig, plan: &CellPlan) -> CaseRun {
+    let case = case_from_chaos_cell(config, plan).unwrap_or_else(|e| panic!("{e}"));
+    // The campaign's repro path is the `.scn` text, so the text must
+    // say exactly what the cell simulates (drift here would desync the
     // shrinker from the campaign).
-    let rendered = spec.render();
+    let rendered = case.spec.render();
     let reparsed = ScenarioSpec::parse(&rendered)
         .unwrap_or_else(|e| panic!("render drift: canonical text does not parse: {e}"));
     assert!(
-        reparsed == spec,
+        reparsed == case.spec,
         "render drift: parse(render(spec)) != spec"
     );
     assert!(
         reparsed.render() == rendered,
         "render drift: render is not a fixpoint"
     );
-    let workload = reparsed
-        .to_workload()
-        .unwrap_or_else(|e| panic!("workload raise failed: {e}"));
-    let mut policy =
-        make_policy(&plan.policy).unwrap_or_else(|| panic!("unknown policy {}", plan.policy));
-    let sim_config = if config.audit {
-        SimConfig::new(config.horizon).with_certificate()
-    } else {
-        SimConfig::new(config.horizon)
-    };
-    let outcome = Engine::run_with_faults(
-        &workload.tasks,
-        &workload.patterns,
-        platform,
-        &mut policy,
-        &sim_config,
-        plan.run_seed,
-        &plan.faults,
-    )
-    .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-    let audit_errors = outcome.certificate.as_ref().map_or(0, |cert| {
-        let report = eua_audit::audit_text(&scenario.name, &cert.render());
-        unexpected_audit_errors(&report, &plan.faults)
-    });
-    let grade =
-        classify_degradation(&outcome.metrics, &workload.tasks, DEFAULT_COLLAPSE_FRACTION).overall;
-    CellOutcome {
-        grade,
-        utility_ratio: outcome.metrics.utility_ratio(),
-        audit_errors,
-    }
+    run_case(&case, config.audit).unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 fn fault_json(plan: &FaultPlan) -> Json {
@@ -317,11 +247,10 @@ fn fault_json(plan: &FaultPlan) -> Json {
     ])
 }
 
-/// Builds cell `index`'s journal record from its settled pool slot. A
+/// Builds a cell's journal record from its settled pool slot. A
 /// panicked slot grades as `collapsed` with the panic message attached
 /// — the worst a cell can do, and a first-class shrink candidate.
-fn cell_record(config: &ChaosConfig, index: u32, outcome: &Result<CellOutcome, PoolError>) -> Json {
-    let plan = plan_cell(config, index);
+fn cell_record(plan: &CellPlan, outcome: &Result<CaseRun, PoolError>) -> Json {
     let (grade, ratio, audit_errors, panic_msg) = match outcome {
         Ok(o) => (
             o.grade.as_str(),
@@ -335,7 +264,7 @@ fn cell_record(config: &ChaosConfig, index: u32, outcome: &Result<CellOutcome, P
         Err(other) => ("collapsed", Json::Null, 0, Json::Str(other.to_string())),
     };
     Json::Obj(vec![
-        ("cell".into(), Json::uint(u64::from(index))),
+        ("cell".into(), Json::uint(u64::from(plan.index))),
         ("family".into(), Json::Str(plan.family.key().into())),
         (
             "universe_cell".into(),
@@ -481,7 +410,6 @@ pub fn run_campaign(
             .map_err(|e| format!("cannot write journal {}: {e}", journal.display()))?;
     }
 
-    let platform = Platform::powernow(EnergySetting::e1());
     let jobs = config.jobs.max(1);
     let mut file = fs::OpenOptions::new()
         .append(true)
@@ -500,18 +428,18 @@ pub fn run_campaign(
             });
         }
         let end = next.saturating_add(chunk).min(config.cells);
-        let indices: Vec<u32> = (next..end).collect();
+        let plans: Vec<CellPlan> = (next..end).map(|i| plan_cell(config, i)).collect();
         let outcomes = map_parallel_settle(
             jobs,
-            indices.clone(),
-            |_, &index| format!("cell {index}"),
+            plans.iter().collect(),
+            |_, plan| format!("cell {}", plan.index),
             || (),
-            |(), _, index| execute_cell(config, &platform, index),
+            |(), _, plan| execute_cell(config, plan),
         )
         .map_err(|e| format!("worker pool failed: {e}"))?;
         let mut buf = String::new();
-        for (&index, outcome) in indices.iter().zip(&outcomes) {
-            let record = cell_record(config, index, outcome);
+        for (plan, outcome) in plans.iter().zip(&outcomes) {
+            let record = cell_record(plan, outcome);
             buf.push_str(&record.render_compact());
             buf.push('\n');
             records.push(record);
@@ -683,7 +611,12 @@ mod tests {
                 indices.clone(),
                 |_, &i| format!("cell {i}"),
                 || (),
-                |(), _, i| cell_scenario_text(&config, i).expect("renders"),
+                |(), _, i| {
+                    case_from_chaos_cell(&config, &plan_cell(&config, i))
+                        .expect("builds")
+                        .spec
+                        .render()
+                },
             )
             .expect("pool")
             .into_iter()
@@ -695,6 +628,26 @@ mod tests {
             render(4),
             "scenario bytes must not depend on jobs"
         );
+    }
+
+    #[test]
+    fn campaign_fault_plans_survive_scn_text() {
+        let config = ChaosConfig::standard();
+        for index in 0..config.cells {
+            let plan = plan_cell(&config, index);
+            let faults = FaultSpec::from_plan(&plan.faults).expect("campaign plans lower");
+            assert_eq!(
+                faults.to_plan(),
+                plan.faults,
+                "cell {index}: to_plan drifts"
+            );
+            let carrier = ScenarioSpec {
+                faults: Some(faults.clone()),
+                ..case_from_chaos_cell(&config, &plan).expect("builds").spec
+            };
+            let reparsed = ScenarioSpec::parse(&carrier.render()).expect("parses");
+            assert_eq!(reparsed.faults, Some(faults), "cell {index}: text drifts");
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! a Pareto mean can drift an ulp between the raw workload and its
 //! canonical text, so the two must never be mixed).
 //!
+//! A campaign cell *is* its case: the campaign builds every cell with
+//! [`case_from_chaos_cell`] and runs it through `run_case`, the same
+//! executor [`probe`] uses, so a shrink starts from exactly the
+//! scenario, platform and fault plan the campaign graded.
+//!
 //! The algorithm is greedy fixed-point deletion: repeatedly try every
 //! candidate — drop one task, halve the horizon (fewer jobs), zero one
 //! fault component — and accept the first that still
@@ -26,13 +31,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use eua_analyze::scenario::{EnergySpec, FaultSpec, ScenarioSpec};
 use eua_core::make_policy;
-use eua_platform::{EnergySetting, Frequency, FrequencyTable, TimeDelta};
+use eua_platform::{EnergySetting, TimeDelta};
 use eua_sim::{
     classify_degradation, DegradationClass, Engine, FaultPlan, Platform, SimConfig,
     DEFAULT_COLLAPSE_FRACTION,
 };
 
-use crate::chaos::{plan_cell, ChaosConfig};
+use crate::chaos::{CellPlan, ChaosConfig};
 
 /// The horizon below which the shrinker stops halving (1 ms — shorter
 /// horizons observe no complete job of any realistic task).
@@ -86,26 +91,32 @@ pub struct ShrinkCase {
     pub horizon: TimeDelta,
 }
 
-/// Rebuilds campaign cell `index` as a shrinkable case: the cell's
-/// scenario lowered to its canonical spec with the sampled fault plan
-/// attached as a `faults` stanza.
+/// The platform every chaos cell and every shrink probe runs on: the
+/// paper's PowerNow! table under energy setting E1.
+fn campaign_platform() -> Platform {
+    Platform::powernow(EnergySetting::e1())
+}
+
+/// Builds a campaign cell as a case — the one definition of what a
+/// chaos cell runs. The cell's universe scenario is generated and
+/// lowered to its canonical spec at the campaign platform's `f_max`,
+/// with the sampled fault plan attached as a `faults` stanza.
 ///
 /// # Errors
 ///
 /// Propagates universe-generation and lowering failures.
-pub fn case_from_chaos_cell(config: &ChaosConfig, index: u32) -> Result<ShrinkCase, String> {
-    let plan = plan_cell(config, index);
+pub fn case_from_chaos_cell(config: &ChaosConfig, plan: &CellPlan) -> Result<ShrinkCase, String> {
+    let platform = campaign_platform();
     let scenario = plan
         .family
-        .generate(
-            plan.universe_cell,
-            config.master_seed,
-            Frequency::from_mhz(100),
-        )
+        .generate(plan.universe_cell, config.master_seed, platform.f_max())
         .map_err(|e| format!("universe generation failed: {e}"))?;
-    let table = FrequencyTable::powernow_k6();
-    let mut spec =
-        ScenarioSpec::from_workload(&scenario.name, &scenario.workload, &table, EnergySpec::e1())?;
+    let mut spec = ScenarioSpec::from_workload(
+        &scenario.name,
+        &scenario.workload,
+        platform.table(),
+        EnergySpec::e1(),
+    )?;
     spec.faults = if plan.faults.is_none() {
         None
     } else {
@@ -113,17 +124,35 @@ pub fn case_from_chaos_cell(config: &ChaosConfig, index: u32) -> Result<ShrinkCa
     };
     Ok(ShrinkCase {
         spec,
-        policy: plan.policy,
+        policy: plan.policy.clone(),
         seed: plan.run_seed,
         horizon: config.horizon,
     })
 }
 
-/// Runs the case once, certificate recording on, exactly as the chaos
-/// campaign would. Unknown policies and engine invariant violations
-/// panic (so [`probe`] classifies them); malformed candidate specs
-/// return `Err` (so [`probe`] rejects the candidate).
-fn run_case(case: &ShrinkCase) -> Result<(DegradationClass, u64), String> {
+/// What one run of a case observed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CaseRun {
+    /// The degradation oracle's overall grade.
+    pub(crate) grade: DegradationClass,
+    /// Accrued utility over its ceiling.
+    pub(crate) utility_ratio: f64,
+    /// Audit errors the fault plan does not explain (0 unaudited).
+    pub(crate) audit_errors: u64,
+}
+
+/// Runs the case once on the campaign platform, recording and auditing
+/// a decision certificate when `audit` is set. This is the executor of
+/// both campaign cells and [`probe`]. Unknown policies and engine
+/// invariant violations panic (so [`probe`] classifies them);
+/// malformed candidate specs return `Err` (so [`probe`] rejects the
+/// candidate).
+///
+/// # Errors
+///
+/// When the spec does not raise to a workload, its fault plan is
+/// invalid, or the engine rejects the run.
+pub(crate) fn run_case(case: &ShrinkCase, audit: bool) -> Result<CaseRun, String> {
     let workload = case.spec.to_workload()?;
     let plan = case
         .spec
@@ -131,14 +160,17 @@ fn run_case(case: &ShrinkCase) -> Result<(DegradationClass, u64), String> {
         .as_ref()
         .map_or_else(FaultPlan::none, FaultSpec::to_plan);
     plan.validate().map_err(|e| e.to_string())?;
-    let platform = Platform::powernow(EnergySetting::e1());
     let mut policy =
         make_policy(&case.policy).unwrap_or_else(|| panic!("unknown policy {}", case.policy));
-    let sim_config = SimConfig::new(case.horizon).with_certificate();
+    let sim_config = if audit {
+        SimConfig::new(case.horizon).with_certificate()
+    } else {
+        SimConfig::new(case.horizon)
+    };
     let outcome = Engine::run_with_faults(
         &workload.tasks,
         &workload.patterns,
-        &platform,
+        &campaign_platform(),
         &mut policy,
         &sim_config,
         case.seed,
@@ -151,19 +183,24 @@ fn run_case(case: &ShrinkCase) -> Result<(DegradationClass, u64), String> {
     });
     let grade =
         classify_degradation(&outcome.metrics, &workload.tasks, DEFAULT_COLLAPSE_FRACTION).overall;
-    Ok((grade, audit_errors))
+    Ok(CaseRun {
+        grade,
+        utility_ratio: outcome.metrics.utility_ratio(),
+        audit_errors,
+    })
 }
 
-/// Whether (and how) the case reproduces a failure. `None` both for
-/// healthy runs and for candidates the spec layer rejects — a shrink
-/// step must never "succeed" by making the scenario invalid.
+/// Whether (and how) the case reproduces a failure, audited whatever
+/// the campaign's setting. `None` both for healthy runs and for
+/// candidates the spec layer rejects — a shrink step must never
+/// "succeed" by making the scenario invalid.
 #[must_use]
 pub fn probe(case: &ShrinkCase) -> Option<FailureKind> {
-    match catch_unwind(AssertUnwindSafe(|| run_case(case))) {
+    match catch_unwind(AssertUnwindSafe(|| run_case(case, true))) {
         Err(_) => Some(FailureKind::Panic),
         Ok(Err(_)) => None,
-        Ok(Ok((DegradationClass::Collapsed, _))) => Some(FailureKind::Collapsed),
-        Ok(Ok((_, audit_errors))) if audit_errors > 0 => Some(FailureKind::AuditFail),
+        Ok(Ok(run)) if run.grade == DegradationClass::Collapsed => Some(FailureKind::Collapsed),
+        Ok(Ok(run)) if run.audit_errors > 0 => Some(FailureKind::AuditFail),
         Ok(Ok(_)) => None,
     }
 }

@@ -3,7 +3,7 @@
 //! Differential suite for the engine-throughput overhaul: the production
 //! event loop (calendar event queue, arena job state, incremental policy
 //! views — DESIGN.md §14) must be **byte-identical** to the preserved
-//! pre-overhaul loop (`Engine::run_*_reference`) on arbitrary workloads,
+//! pre-overhaul loop (`Engine::run_with_faults_reference`) on arbitrary workloads,
 //! across every policy family, with and without fault injection.
 //!
 //! "Byte-identical" is checked at full strength: the two outcomes must

@@ -107,13 +107,12 @@ pub struct Analysis {
 
 /// The worker-pool entry points whose closures must stay pure (see
 /// `crates/sim/src/pool.rs` and `crates/sim/src/runner.rs`).
-pub const POOL_APIS: [&str; 6] = [
+pub const POOL_APIS: [&str; 5] = [
     "map_parallel",
     "map_parallel_with",
     "map_parallel_labeled",
     "map_parallel_settle",
     "replicate_parallel",
-    "replicate_parallel_with_faults",
 ];
 
 /// Method names shared with std's containers/iterators/Option/Result.

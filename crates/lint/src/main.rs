@@ -20,7 +20,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use eua_analyze::{
-    render_json_reports, render_sarif_with_regions, validate_sarif, DiagCode, Report, Span,
+    render_codes, render_json_reports, render_sarif_with_regions, sarif_self_check, DiagCode,
+    Report, Span,
 };
 use eua_lint::{
     all_codes, code_from_str, collect_sources, fix::fix_file, lint_roots, lint_sources, FileLint,
@@ -73,7 +74,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => run_check(&args[1..]),
         Some("codes") => {
-            run_codes();
+            emit(&render_codes(&LINT_CODES));
             ExitCode::SUCCESS
         }
         Some("--help" | "-h" | "help") => {
@@ -294,27 +295,5 @@ fn run_fix(roots: &[PathBuf], selected: &BTreeSet<DiagCode>, apply: bool) -> Exi
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Asserts the SARIF output byte-round-trips through the first-party
-/// JSON tree and satisfies the pinned SARIF 2.1.0 subset.
-fn sarif_self_check(text: &str) -> Result<(), String> {
-    let reparsed = eua_analyze::json::parse(text)?;
-    if reparsed.render() != text {
-        return Err("render(parse(output)) differs from output".into());
-    }
-    validate_sarif(text)
-}
-
-/// Prints every lint code with its severity and summary.
-fn run_codes() {
-    for code in LINT_CODES {
-        emit(&format!(
-            "{:<36} {:<8} {}\n",
-            code.as_str(),
-            code.default_severity().as_str(),
-            code.summary()
-        ));
     }
 }

@@ -292,32 +292,6 @@ impl Engine {
         config: &SimConfig,
         seed: u64,
     ) -> Result<Outcome, SimError> {
-        Self::run_traces_with_faults(
-            tasks,
-            traces,
-            platform,
-            policy,
-            config,
-            seed,
-            &FaultPlan::none(),
-        )
-    }
-
-    /// [`Engine::run_with_traces`] with a [`FaultPlan`] injected; the
-    /// supplied traces are perturbed exactly like generated ones.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run_with_faults`].
-    pub fn run_traces_with_faults<P: SchedulerPolicy + ?Sized>(
-        tasks: &TaskSet,
-        traces: &[ArrivalTrace],
-        platform: &Platform,
-        policy: &mut P,
-        config: &SimConfig,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Result<Outcome, SimError> {
         if traces.len() != tasks.len() {
             return Err(SimError::PatternCountMismatch {
                 tasks: tasks.len(),
@@ -326,7 +300,14 @@ impl Engine {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         Self::run_core(
-            tasks, traces, platform, policy, config, &mut rng, seed, plan,
+            tasks,
+            traces,
+            platform,
+            policy,
+            config,
+            &mut rng,
+            seed,
+            &FaultPlan::none(),
         )
     }
 

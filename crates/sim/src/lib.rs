@@ -103,9 +103,6 @@ pub use pool::{
     map_parallel, map_parallel_labeled, map_parallel_settle, map_parallel_with, resolve_jobs,
     PoolError,
 };
-pub use runner::{
-    replicate, replicate_parallel, replicate_parallel_with_faults, replicate_with_faults,
-    Replication, Summary,
-};
+pub use runner::{replicate, replicate_parallel, Replication, Summary};
 pub use task::{Task, TaskSet};
 pub use trace::{ExecutionTrace, Segment, TraceEvent};

@@ -5,7 +5,6 @@ use eua_uam::generator::ArrivalPattern;
 
 use crate::engine::{Engine, SimConfig};
 use crate::error::SimError;
-use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
 use crate::platform_view::Platform;
 use crate::policy::SchedulerPolicy;
@@ -97,40 +96,12 @@ pub fn replicate<P: SchedulerPolicy + ?Sized>(
     config: &SimConfig,
     seeds: &[u64],
 ) -> Result<Summary, SimError> {
-    replicate_with_faults(
-        tasks,
-        patterns,
-        platform,
-        policy,
-        config,
-        seeds,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`replicate`] with a [`FaultPlan`] injected into every run (the same
-/// plan under each seed; the injected fault *schedule* still varies per
-/// seed through [`FaultPlan::rng`]).
-///
-/// # Errors
-///
-/// As [`replicate`], plus [`SimError::InvalidFaultPlan`].
-pub fn replicate_with_faults<P: SchedulerPolicy + ?Sized>(
-    tasks: &TaskSet,
-    patterns: &[ArrivalPattern],
-    platform: &Platform,
-    policy: &mut P,
-    config: &SimConfig,
-    seeds: &[u64],
-    plan: &FaultPlan,
-) -> Result<Summary, SimError> {
     if seeds.is_empty() {
         return Err(SimError::ZeroReplications);
     }
     let mut runs = Vec::with_capacity(seeds.len());
     for &seed in seeds {
-        let outcome =
-            Engine::run_with_faults(tasks, patterns, platform, policy, config, seed, plan)?;
+        let outcome = Engine::run(tasks, patterns, platform, policy, config, seed)?;
         runs.push(Replication {
             seed,
             metrics: outcome.metrics,
@@ -167,46 +138,12 @@ where
     P: SchedulerPolicy,
     F: Fn() -> P + Sync,
 {
-    replicate_parallel_with_faults(
-        tasks,
-        patterns,
-        platform,
-        policy_factory,
-        config,
-        seeds,
-        jobs,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`replicate_parallel`] with a [`FaultPlan`] injected into every run.
-/// Fault schedules are seed-derived, so the result stays bit-identical
-/// to the sequential [`replicate_with_faults`] for any `jobs`.
-///
-/// # Errors
-///
-/// As [`replicate_parallel`], plus [`SimError::InvalidFaultPlan`].
-#[allow(clippy::too_many_arguments)]
-pub fn replicate_parallel_with_faults<P, F>(
-    tasks: &TaskSet,
-    patterns: &[ArrivalPattern],
-    platform: &Platform,
-    policy_factory: F,
-    config: &SimConfig,
-    seeds: &[u64],
-    jobs: usize,
-    plan: &FaultPlan,
-) -> Result<Summary, SimError>
-where
-    P: SchedulerPolicy,
-    F: Fn() -> P + Sync,
-{
     if seeds.is_empty() {
         return Err(SimError::ZeroReplications);
     }
     if jobs <= 1 {
         let mut policy = policy_factory();
-        return replicate_with_faults(tasks, patterns, platform, &mut policy, config, seeds, plan);
+        return replicate(tasks, patterns, platform, &mut policy, config, seeds);
     }
     let results = crate::pool::map_parallel_labeled(
         jobs,
@@ -214,12 +151,12 @@ where
         |_, seed| format!("seed {seed}"),
         &policy_factory,
         |policy, _, seed| {
-            Engine::run_with_faults(tasks, patterns, platform, policy, config, seed, plan).map(
-                |outcome| Replication {
+            Engine::run(tasks, patterns, platform, policy, config, seed).map(|outcome| {
+                Replication {
                     seed,
                     metrics: outcome.metrics,
-                },
-            )
+                }
+            })
         },
     )?;
     let mut runs = Vec::with_capacity(results.len());
@@ -345,59 +282,6 @@ mod tests {
                 "run order must follow the seed list, jobs = {jobs}"
             );
         }
-    }
-
-    #[test]
-    fn faulted_parallel_replication_is_bit_identical_to_sequential() {
-        let (tasks, patterns, platform, config) = setup();
-        let plan = FaultPlan {
-            uam: crate::faults::UamViolationFault {
-                extra_per_window: 1,
-                every_n_windows: 3,
-            },
-            demand: crate::faults::DemandFault {
-                mean_factor: 1.5,
-                spread: 0.2,
-            },
-            ..FaultPlan::none()
-        };
-        let seeds = [9u64, 1, 5, 3];
-        let mut policy = MaxSpeedEdf::new();
-        let sequential = replicate_with_faults(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut policy,
-            &config,
-            &seeds,
-            &plan,
-        )
-        .unwrap();
-        for jobs in [1, 2, 4] {
-            let parallel = replicate_parallel_with_faults(
-                &tasks,
-                &patterns,
-                &platform,
-                MaxSpeedEdf::new,
-                &config,
-                &seeds,
-                jobs,
-                &plan,
-            )
-            .unwrap();
-            assert_eq!(parallel, sequential, "jobs = {jobs}");
-        }
-        // The fault plan actually changes the runs.
-        let unfaulted = replicate(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut MaxSpeedEdf::new(),
-            &config,
-            &seeds,
-        )
-        .unwrap();
-        assert_ne!(sequential, unfaulted);
     }
 
     #[test]
