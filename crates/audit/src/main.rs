@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Certificates are produced by the simulator with
-//! `SimConfig::with_certificate()` (or `eua-bench robustness --certify`).
+//! `SimConfig::with_certificate()`.
 //! Exit status matches `eua-analyze`: `0` when every certificate parsed
 //! and audited clean, `1` when at least one Error-severity finding was
 //! produced, `2` on usage or I/O errors. The three are strictly ordered:

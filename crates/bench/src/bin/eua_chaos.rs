@@ -17,37 +17,29 @@
 //! smoke). `--shrink-dir DIR` shrinks up to `--shrink-limit` (default
 //! 3) failing cells to 1-minimal repro `.scn` files ready for
 //! `tests/regression_corpus/`.
+//!
+//! A malformed flag value (`--cells abc`) exits 2 naming the flag.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use eua_bench::chaos::{self, ChaosConfig};
-use eua_bench::jobs_from_args;
 use eua_bench::shrink;
+use eua_bench::{flag_or_exit, jobs_from_args};
 use eua_platform::TimeDelta;
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let resume = args.iter().any(|a| a == "--resume");
     let no_audit = args.iter().any(|a| a == "--no-audit");
-    let journal: PathBuf = flag_value(&args, "--journal")
-        .map(PathBuf::from)
+    let journal: PathBuf = flag_or_exit(&args, "--journal")
         .unwrap_or_else(|| PathBuf::from("results/chaos-journal.jsonl"));
-    let out: PathBuf = flag_value(&args, "--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/chaos.json"));
-    let halt_after: Option<u32> = flag_value(&args, "--halt-after").and_then(|v| v.parse().ok());
-    let shrink_dir: Option<PathBuf> = flag_value(&args, "--shrink-dir").map(PathBuf::from);
-    let shrink_limit: usize = flag_value(&args, "--shrink-limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let out: PathBuf =
+        flag_or_exit(&args, "--out").unwrap_or_else(|| PathBuf::from("results/chaos.json"));
+    let halt_after: Option<u32> = flag_or_exit(&args, "--halt-after");
+    let shrink_dir: Option<PathBuf> = flag_or_exit(&args, "--shrink-dir");
+    let shrink_limit: usize = flag_or_exit(&args, "--shrink-limit").unwrap_or(3);
 
     let mut config = if quick {
         ChaosConfig::quick()
@@ -55,16 +47,16 @@ fn main() -> ExitCode {
         ChaosConfig::standard()
     }
     .with_jobs(jobs_from_args(&args));
-    if let Some(seed) = flag_value(&args, "--seed").and_then(|v| v.parse().ok()) {
+    if let Some(seed) = flag_or_exit(&args, "--seed") {
         config.master_seed = seed;
     }
-    if let Some(cells) = flag_value(&args, "--cells").and_then(|v| v.parse().ok()) {
+    if let Some(cells) = flag_or_exit(&args, "--cells") {
         config.cells = cells;
     }
-    if let Some(ms) = flag_value(&args, "--horizon-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = flag_or_exit(&args, "--horizon-ms") {
         config.horizon = TimeDelta::from_millis(ms);
     }
-    if let Some(list) = flag_value(&args, "--policies") {
+    if let Some(list) = flag_or_exit::<String>(&args, "--policies") {
         config.policies = list.split(',').map(String::from).collect();
     }
     if no_audit {

@@ -5,39 +5,30 @@
 //! abort-cost/jitter timing faults.
 //!
 //! Usage: `cargo run -p eua-bench --bin robustness [--quick] [--jobs N]
-//! [--load X] [--out PATH] [--certify DIR] [--check]`
+//! [--load X] [--out PATH] [--audit] [--check]`
 //!
-//! The report goes to `results/robustness.json` (first-party JSON; the
-//! document is byte-identical for any `--jobs` count). `--check`
-//! re-parses the written file and fails unless rendering it reproduces
-//! the bytes on disk exactly. `--certify DIR` additionally records an
-//! `eua-certificate/1` document per `(family, intensity, policy, seed)`
-//! cell into `DIR` so the sweep can be validated offline:
-//!
-//! ```text
-//! eua-audit check DIR/*.json
-//! ```
+//! Every `(family, intensity, policy, seed)` cell runs as a `.scn`
+//! shrink case through the chaos campaign's executor. The report goes
+//! to `results/robustness.json` (first-party JSON; the document is
+//! byte-identical for any `--jobs` count). `--check` re-parses the
+//! written file and fails unless rendering it reproduces the bytes on
+//! disk exactly. `--audit` records an `eua-certificate/1` document per
+//! cell and audits it in-process; each point reports its
+//! `audit_failures` (audit errors the cell's fault plan does not
+//! explain). A malformed flag value (`--load abc`) exits 2 naming the
+//! flag.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use eua_bench::{jobs_from_args, run_robustness, RobustnessConfig};
+use eua_bench::{flag_or_exit, jobs_from_args, run_robustness, RobustnessConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
-    let out: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/robustness.json"));
-    let certify_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--certify")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let out: PathBuf =
+        flag_or_exit(&args, "--out").unwrap_or_else(|| PathBuf::from("results/robustness.json"));
 
     let mut config = if quick {
         RobustnessConfig::quick()
@@ -45,15 +36,10 @@ fn main() -> ExitCode {
         RobustnessConfig::standard()
     }
     .with_jobs(jobs_from_args(&args));
-    if let Some(load) = args
-        .iter()
-        .position(|a| a == "--load")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(load) = flag_or_exit(&args, "--load") {
         config.load = load;
     }
-    config.certify = certify_dir.is_some();
+    config.audit = args.iter().any(|a| a == "--audit");
 
     eprintln!(
         "robustness sweep: load {}, {} intensities x {} policies x {} seeds, {} worker(s)",
@@ -101,23 +87,9 @@ fn main() -> ExitCode {
     }
     eprintln!("wrote {}", out.display());
 
-    if let Some(dir) = &certify_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for (name, cert) in &report.certificates {
-            if let Err(e) = std::fs::write(dir.join(name), cert) {
-                eprintln!("cannot write {}: {e}", dir.join(name).display());
-                return ExitCode::FAILURE;
-            }
-        }
-        eprintln!(
-            "wrote {} certificate(s) to {} (validate with: eua-audit check {}/*.json)",
-            report.certificates.len(),
-            dir.display(),
-            dir.display(),
-        );
+    if config.audit {
+        let failures: usize = report.points.iter().map(|p| p.audit_failures).sum();
+        eprintln!("audited every cell: {failures} audit failure(s)");
     }
 
     if check {

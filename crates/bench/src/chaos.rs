@@ -12,9 +12,11 @@
 //! the report derived from it) is byte-identical to an uninterrupted
 //! run at any `--jobs` count.
 //!
-//! Grading reuses the robustness oracle ([`classify_degradation`]),
-//! and — when [`ChaosConfig::audit`] is set — every cell's decision
-//! certificate is checked by the offline `eua-audit` validator. A cell
+//! Every cell runs as a [`crate::shrink::ShrinkCase`] through the
+//! executor the robustness sweep's grid cells share, graded by the
+//! degradation oracle (`eua_sim::classify_degradation`), and — when
+//! [`ChaosConfig::audit`] is set — every cell's decision certificate is
+//! checked by the `eua-audit` validator in-process. A cell
 //! is *failing* when it collapses, fails audit, or panics; panicking
 //! cells settle into graded records (via
 //! [`eua_sim::map_parallel_settle`]) instead of aborting the campaign,
@@ -25,7 +27,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use eua_analyze::scenario::{FaultSpec, ScenarioSpec};
+use eua_analyze::scenario::FaultSpec;
 use eua_analyze::{DiagCode, Report, Severity};
 use eua_platform::TimeDelta;
 use eua_sim::{map_parallel_settle, FaultPlan, PoolError};
@@ -35,7 +37,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::json::Json;
 use crate::robustness::FaultFamily;
-use crate::shrink::{case_from_chaos_cell, run_case, CaseRun};
+use crate::shrink::{case_from_chaos_cell, execute_case, CaseRun};
 
 /// Schema tag of the journal's header line.
 pub const JOURNAL_SCHEMA: &str = "eua-chaos-journal/1";
@@ -193,30 +195,6 @@ pub fn unexpected_audit_errors(report: &Report, plan: &FaultPlan) -> u64 {
         .count() as u64
 }
 
-/// Runs one cell end to end: its [`crate::shrink::ShrinkCase`], checked
-/// to be an exact fixed point of `.scn` parse ∘ render, through the
-/// shrinker's own executor. Any internal failure — universe generation,
-/// render drift, unknown policy, simulation error — panics, and the
-/// pool settles the panic into the cell's record.
-fn execute_cell(config: &ChaosConfig, plan: &CellPlan) -> CaseRun {
-    let case = case_from_chaos_cell(config, plan).unwrap_or_else(|e| panic!("{e}"));
-    // The campaign's repro path is the `.scn` text, so the text must
-    // say exactly what the cell simulates (drift here would desync the
-    // shrinker from the campaign).
-    let rendered = case.spec.render();
-    let reparsed = ScenarioSpec::parse(&rendered)
-        .unwrap_or_else(|e| panic!("render drift: canonical text does not parse: {e}"));
-    assert!(
-        reparsed == case.spec,
-        "render drift: parse(render(spec)) != spec"
-    );
-    assert!(
-        reparsed.render() == rendered,
-        "render drift: render is not a fixpoint"
-    );
-    run_case(&case, config.audit).unwrap_or_else(|e| panic!("simulation failed: {e}"))
-}
-
 fn fault_json(plan: &FaultPlan) -> Json {
     // Campaign plans never use `stuck_after`, so lowering always works.
     let spec = FaultSpec::from_plan(plan).unwrap_or_default();
@@ -261,7 +239,6 @@ fn cell_record(plan: &CellPlan, outcome: &Result<CaseRun, PoolError>) -> Json {
         Err(PoolError::WorkerPanic { message, .. }) => {
             ("collapsed", Json::Null, 0, Json::Str(message.clone()))
         }
-        Err(other) => ("collapsed", Json::Null, 0, Json::Str(other.to_string())),
     };
     Json::Obj(vec![
         ("cell".into(), Json::uint(u64::from(plan.index))),
@@ -434,9 +411,11 @@ pub fn run_campaign(
             plans.iter().collect(),
             |_, plan| format!("cell {}", plan.index),
             || (),
-            |(), _, plan| execute_cell(config, plan),
-        )
-        .map_err(|e| format!("worker pool failed: {e}"))?;
+            |(), _, plan| {
+                let case = case_from_chaos_cell(config, plan).unwrap_or_else(|e| panic!("{e}"));
+                execute_case(&case, config.audit)
+            },
+        );
         let mut buf = String::new();
         for (plan, outcome) in plans.iter().zip(&outcomes) {
             let record = cell_record(plan, outcome);
@@ -573,6 +552,7 @@ pub fn campaign_report(config: &ChaosConfig, records: &[Json]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eua_analyze::scenario::ScenarioSpec;
     use std::path::PathBuf;
 
     fn tmp_journal(tag: &str) -> PathBuf {
@@ -618,7 +598,6 @@ mod tests {
                         .render()
                 },
             )
-            .expect("pool")
             .into_iter()
             .map(|r| r.expect("no panics"))
             .collect()

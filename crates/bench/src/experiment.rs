@@ -4,7 +4,10 @@
 
 use eua_core::make_policy;
 use eua_platform::TimeDelta;
-use eua_sim::{map_parallel_labeled, Engine, Metrics, Platform, SimConfig, Summary};
+use std::fmt::Display;
+use std::str::FromStr;
+
+use eua_sim::{map_parallel_settle, Engine, Metrics, Platform, PoolError, SimConfig, Summary};
 use eua_workload::Workload;
 
 /// Sweep-wide configuration.
@@ -51,17 +54,52 @@ impl ExperimentConfig {
     }
 }
 
+/// Parses the value following `flag` in a binary's CLI arguments:
+/// `Ok(None)` when the flag is absent, and an error naming the flag
+/// when its value is missing or malformed (`--load abc` is a usage
+/// error, never a silent fallback to the default).
+///
+/// # Errors
+///
+/// When `flag` is the last argument or its value does not parse as `T`.
+pub fn parse_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|e| format!("invalid {flag} value `{value}`: {e}"))
+}
+
+/// [`parse_flag`] for a binary's `main`: a missing or malformed value
+/// prints the error and exits with status 2 (usage error).
+#[must_use]
+pub fn flag_or_exit<T>(args: &[String], flag: &str) -> Option<T>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    parse_flag(args, flag).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 /// Resolves the worker-thread count from a binary's CLI arguments: the
 /// value following a `--jobs` flag, else the `EUA_JOBS` environment
-/// variable, else the hardware's available parallelism.
+/// variable, else the hardware's available parallelism. A malformed
+/// `--jobs` value exits with status 2 (see [`flag_or_exit`]).
 #[must_use]
 pub fn jobs_from_args(args: &[String]) -> usize {
-    eua_sim::resolve_jobs(
-        args.iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok()),
-    )
+    eua_sim::resolve_jobs(flag_or_exit(args, "--jobs"))
 }
 
 /// The aggregated result of one `(workload, policy)` cell.
@@ -141,7 +179,7 @@ pub fn run_cells(
         .enumerate()
         .flat_map(|(pi, _)| config.seeds.iter().map(move |&seed| (pi, seed)))
         .collect();
-    let metrics: Vec<Metrics> = map_parallel_labeled(
+    let metrics: Vec<Metrics> = map_parallel_settle(
         config.jobs,
         items,
         |_, &(pi, seed)| format!("policy {}, seed {seed}", policy_names[pi]),
@@ -161,6 +199,8 @@ pub fn run_cells(
             .metrics
         },
     )
+    .into_iter()
+    .collect::<Result<_, PoolError>>()
     .unwrap_or_else(|e| panic!("parallel sweep failed: {e}"));
     metrics
         .chunks(config.seeds.len())
@@ -225,6 +265,25 @@ mod tests {
         let platform = Platform::powernow(EnergySetting::e1());
         let w = fig2_workload(0.4, 3, Frequency::from_mhz(100)).unwrap();
         let _ = run_cell("nope", &w, &platform, &ExperimentConfig::quick());
+    }
+
+    #[test]
+    fn parse_flag_reads_absent_valid_and_malformed_values() {
+        let args: Vec<String> = ["--load", "0.5", "--cells", "abc", "--seed"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        assert_eq!(parse_flag::<f64>(&args, "--load"), Ok(Some(0.5)));
+        assert_eq!(parse_flag::<u64>(&args, "--horizon-ms"), Ok(None));
+        let malformed = parse_flag::<u32>(&args, "--cells").unwrap_err();
+        assert!(
+            malformed.contains("--cells") && malformed.contains("abc"),
+            "{malformed}"
+        );
+        let missing = parse_flag::<u64>(&args, "--seed").unwrap_err();
+        assert!(missing.contains("--seed"), "{missing}");
+        // A value of the wrong type is malformed too.
+        assert!(parse_flag::<u64>(&args, "--load").is_err());
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub use chaos::{
     unexpected_audit_errors, CampaignOutcome, CellPlan, ChaosConfig,
 };
 pub use chart::{render_chart, render_svg, Series};
-pub use experiment::{jobs_from_args, run_cell, run_cells, Cell, ExperimentConfig};
+pub use experiment::{
+    flag_or_exit, jobs_from_args, parse_flag, run_cell, run_cells, Cell, ExperimentConfig,
+};
 pub use json::Json;
 pub use report::{write_csv, Table};
 pub use robustness::{

@@ -5,20 +5,20 @@
 //! Four fault families (one [`FaultPlan`] shape each) are swept over an
 //! intensity grid; at intensity `0.0` every family degenerates to
 //! [`FaultPlan::none`], so the leftmost point of every curve is the
-//! unfaulted engine bit-for-bit. Each `(family, intensity, policy,
-//! seed)` cell is an independent deterministic simulation fanned out
+//! unfaulted engine bit-for-bit. The Figure 2 workload is lowered to
+//! its `.scn` spec once, and each `(family, intensity, policy, seed)`
+//! cell is a [`ShrinkCase`] carrying the family's `faults` stanza, run
+//! through the same executor as a chaos campaign cell and fanned out
 //! over the `eua_sim::pool` worker pool, so the emitted report is
 //! byte-identical for any `--jobs` count.
 
-use eua_core::make_policy;
+use eua_analyze::scenario::{EnergySpec, ScenarioSpec};
 use eua_platform::TimeDelta;
-use eua_sim::{
-    classify_degradation, map_parallel_settle, DegradationClass, Engine, FaultPlan, Metrics,
-    Platform, PoolError, SimConfig, SimError, DEFAULT_COLLAPSE_FRACTION,
-};
-use eua_workload::{fig2_workload, Workload};
+use eua_sim::{map_parallel_settle, DegradationClass, FaultPlan, PoolError};
+use eua_workload::fig2_workload;
 
 use crate::json::Json;
+use crate::shrink::{campaign_platform, execute_case, fault_stanza, CaseRun, ShrinkCase};
 
 /// The fixed workload seed (arrival patterns and declared statistics),
 /// shared with the figure binaries; run seeds vary per replication.
@@ -134,11 +134,11 @@ pub struct RobustnessConfig {
     pub intensities: Vec<f64>,
     /// Policies to sweep (`eua_core::make_policy` names).
     pub policies: Vec<String>,
-    /// Record a decision certificate per cell (see
-    /// [`RobustnessReport::certificates`]); off by default — certified
-    /// runs carry every scheduling event, so the sweep output grows by
-    /// orders of magnitude.
-    pub certify: bool,
+    /// Record a decision certificate per cell and audit it in-process
+    /// with the chaos campaign's filter
+    /// ([`crate::chaos::unexpected_audit_errors`]); off by default —
+    /// certifying every scheduling event costs far more than the run.
+    pub audit: bool,
 }
 
 impl RobustnessConfig {
@@ -159,7 +159,7 @@ impl RobustnessConfig {
             load: 0.8,
             intensities: vec![0.0, 0.25, 0.5, 0.75, 1.0],
             policies: Self::policies(),
-            certify: false,
+            audit: false,
         }
     }
 
@@ -173,7 +173,7 @@ impl RobustnessConfig {
             load: 0.8,
             intensities: vec![0.0, 0.5, 1.0],
             policies: Self::policies(),
-            certify: false,
+            audit: false,
         }
     }
 
@@ -214,6 +214,9 @@ pub struct RobustnessPoint {
     /// seeds contribute no metrics to the means; their labels are
     /// collected in [`RobustnessReport::panic_cells`].
     pub panics: usize,
+    /// Seeds whose audited certificate had errors the fault plan does
+    /// not explain (always 0 unless [`RobustnessConfig::audit`] is set).
+    pub audit_failures: usize,
 }
 
 /// The whole sweep's output.
@@ -223,12 +226,6 @@ pub struct RobustnessReport {
     pub config: RobustnessConfig,
     /// All points, ordered by (family, intensity, policy).
     pub points: Vec<RobustnessPoint>,
-    /// Rendered `eua-certificate/1` documents, one `(file name, text)`
-    /// pair per `(family, intensity, policy, seed)` cell in grid order;
-    /// empty unless [`RobustnessConfig::certify`] was set. The sweep
-    /// report itself ([`Self::to_json`]) never embeds them — callers
-    /// write them next to the report for `eua-audit check`.
-    pub certificates: Vec<(String, String)>,
     /// Labels of grid cells that panicked, in grid order, with the
     /// panic message appended (`"<label>: <message>"`). A panicking
     /// cell no longer aborts the sweep — it is graded `collapsed` in
@@ -237,148 +234,106 @@ pub struct RobustnessReport {
     pub panic_cells: Vec<String>,
 }
 
+/// Lowers the Figure 2 workload to its `.scn` spec once and builds
+/// every `(family, intensity, policy, seed)` cell as the case it runs,
+/// in report order.
+///
+/// # Errors
+///
+/// When the Figure 2 workload cannot be synthesized at `config.load`
+/// or does not lower to `.scn`.
+fn grid_cases(config: &RobustnessConfig) -> Result<Vec<(FaultFamily, f64, ShrinkCase)>, String> {
+    let platform = campaign_platform();
+    let workload = fig2_workload(config.load, WORKLOAD_SEED, platform.f_max()).map_err(|e| {
+        format!(
+            "Figure 2 workload synthesis failed at load {}: {e}",
+            config.load
+        )
+    })?;
+    let spec = ScenarioSpec::from_workload(
+        format!("fig2 load {}", config.load),
+        &workload,
+        platform.table(),
+        EnergySpec::e1(),
+    )
+    .map_err(|e| format!("Figure 2 workload does not lower to .scn: {e}"))?;
+    let mut cases = Vec::new();
+    for &family in &FaultFamily::ALL {
+        for &intensity in &config.intensities {
+            let faults = fault_stanza(&family.plan_at(intensity));
+            for policy in &config.policies {
+                for &seed in &config.seeds {
+                    let case = ShrinkCase {
+                        spec: ScenarioSpec {
+                            faults: faults.clone(),
+                            ..spec.clone()
+                        },
+                        policy: policy.clone(),
+                        seed,
+                        horizon: config.horizon,
+                    };
+                    cases.push((family, intensity, case));
+                }
+            }
+        }
+    }
+    Ok(cases)
+}
+
 /// Runs the full sweep: every `(family, intensity, policy, seed)` cell
 /// through the worker pool, aggregated per `(family, intensity,
 /// policy)` in deterministic order.
 ///
 /// # Errors
 ///
-/// Propagates workload-synthesis and simulation errors. A *panicking*
-/// cell does not abort the sweep: the panic settles in its pool slot
-/// (see [`map_parallel_settle`]), the seed is graded `collapsed`, and
-/// the labelled message lands in [`RobustnessReport::panic_cells`].
-pub fn run_robustness(config: &RobustnessConfig) -> Result<RobustnessReport, SimError> {
-    let platform = Platform::powernow(eua_platform::EnergySetting::e1());
-    let workload: Workload =
-        fig2_workload(config.load, WORKLOAD_SEED, platform.f_max()).map_err(|e| {
-            SimError::InvalidFaultPlan {
-                reason: format!("workload synthesis failed: {e}"),
-            }
-        })?;
-    let sim_config = if config.certify {
-        SimConfig::new(config.horizon).with_certificate()
-    } else {
-        SimConfig::new(config.horizon)
-    };
-
-    // Flatten the whole grid so the pool keeps every worker busy even
-    // when one policy is far slower than the rest.
-    struct GridItem {
-        family: FaultFamily,
-        intensity: f64,
-        policy_idx: usize,
-        seed: u64,
-    }
-    let mut items: Vec<GridItem> = Vec::new();
-    let mut cell_names: Vec<String> = Vec::new();
-    for &family in &FaultFamily::ALL {
-        for &intensity in &config.intensities {
-            for policy_idx in 0..config.policies.len() {
-                for &seed in &config.seeds {
-                    cell_names.push(format!(
-                        "{}-i{}-{}-s{}.json",
-                        family.key(),
-                        intensity,
-                        config.policies[policy_idx],
-                        seed
-                    ));
-                    items.push(GridItem {
-                        family,
-                        intensity,
-                        policy_idx,
-                        seed,
-                    });
-                }
-            }
-        }
-    }
-
-    type CellResult = Result<(Metrics, Option<String>), SimError>;
-    let runs: Vec<Result<CellResult, PoolError>> = map_parallel_settle(
+/// When the Figure 2 workload cannot be built (the message names it).
+/// A *panicking* cell — unknown policy, simulation error — does not
+/// abort the sweep: the panic settles in its pool slot (see
+/// [`map_parallel_settle`]), the seed is graded `collapsed`, and the
+/// labelled message lands in [`RobustnessReport::panic_cells`].
+pub fn run_robustness(config: &RobustnessConfig) -> Result<RobustnessReport, String> {
+    // The grid is flat so the pool keeps every worker busy even when
+    // one policy is far slower than the rest.
+    let runs = map_parallel_settle(
         config.jobs,
-        items,
-        |_, item| {
+        grid_cases(config)?,
+        |_, (family, intensity, case)| {
             format!(
-                "family {}, intensity {}, policy {}, seed {}",
-                item.family.key(),
-                item.intensity,
-                config.policies[item.policy_idx],
-                item.seed
+                "family {}, intensity {intensity}, policy {}, seed {}",
+                family.key(),
+                case.policy,
+                case.seed
             )
         },
         || (),
-        |(), _, item| {
-            let name = &config.policies[item.policy_idx];
-            let mut policy = make_policy(name).unwrap_or_else(|| panic!("unknown policy {name}"));
-            let plan = item.family.plan_at(item.intensity);
-            Engine::run_with_faults(
-                &workload.tasks,
-                &workload.patterns,
-                &platform,
-                &mut policy,
-                &sim_config,
-                item.seed,
-                &plan,
-            )
-            .map(|outcome| {
-                let cert = outcome.certificate.as_ref().map(|c| c.render());
-                (outcome.metrics, cert)
-            })
-        },
-    )?;
-
-    // Split certificates and settled panics out in grid order so the
-    // chunked aggregation below sees plain per-seed outcomes.
-    enum CellRun {
-        Done(Metrics),
-        Panicked,
-    }
-    let mut certificates = Vec::new();
-    let mut panic_cells = Vec::new();
-    let mut cell_runs: Vec<Result<CellRun, SimError>> = Vec::with_capacity(runs.len());
-    for (name, run) in cell_names.iter().zip(runs) {
-        match run {
-            Ok(Ok((metrics, cert))) => {
-                if let Some(text) = cert {
-                    certificates.push((name.clone(), text));
-                }
-                cell_runs.push(Ok(CellRun::Done(metrics)));
-            }
-            Ok(Err(e)) => cell_runs.push(Err(e)),
-            Err(PoolError::WorkerPanic { label, message }) => {
-                panic_cells.push(format!("{label}: {message}"));
-                cell_runs.push(Ok(CellRun::Panicked));
-            }
-            Err(other) => return Err(other.into()),
-        }
-    }
+        |(), _, (_, _, case)| execute_case(&case, config.audit),
+    );
 
     let per_point = config.seeds.len();
     let mut points = Vec::new();
-    // Consume the runs by value, a chunk per grid point — moving each
-    // outcome out avoids cloning whole `Result`s per run.
-    let mut remaining = cell_runs.into_iter();
+    let mut panic_cells = Vec::new();
+    let mut remaining = runs.into_iter();
     for &family in &FaultFamily::ALL {
         for &intensity in &config.intensities {
             for policy in &config.policies {
-                let mut metrics = Vec::with_capacity(per_point);
+                let mut cell_runs = Vec::with_capacity(per_point);
                 let mut panics = 0usize;
                 for run in remaining.by_ref().take(per_point) {
-                    match run? {
-                        CellRun::Done(m) => metrics.push(m),
-                        CellRun::Panicked => panics += 1,
+                    match run {
+                        Ok(r) => cell_runs.push(r),
+                        Err(PoolError::WorkerPanic { label, message }) => {
+                            panic_cells.push(format!("{label}: {message}"));
+                            panics += 1;
+                        }
                     }
                 }
-                points.push(aggregate(
-                    family, intensity, policy, &metrics, panics, &workload,
-                ));
+                points.push(aggregate(family, intensity, policy, &cell_runs, panics));
             }
         }
     }
     Ok(RobustnessReport {
         config: config.clone(),
         points,
-        certificates,
         panic_cells,
     })
 }
@@ -387,16 +342,15 @@ fn aggregate(
     family: FaultFamily,
     intensity: f64,
     policy: &str,
-    metrics: &[Metrics],
+    runs: &[CaseRun],
     panics: usize,
-    workload: &Workload,
 ) -> RobustnessPoint {
-    let n = metrics.len().max(1) as f64;
-    let mean = |f: &dyn Fn(&Metrics) -> f64| metrics.iter().map(f).sum::<f64>() / n;
+    let n = runs.len().max(1) as f64;
+    let mean = |f: fn(&CaseRun) -> f64| runs.iter().map(f).sum::<f64>() / n;
     // A panicked seed is the worst degradation a cell can exhibit.
     let (mut met, mut degraded, mut collapsed) = (0, 0, panics);
-    for m in metrics {
-        match classify_degradation(m, &workload.tasks, DEFAULT_COLLAPSE_FRACTION).overall {
+    for run in runs {
+        match run.grade {
             DegradationClass::Met => met += 1,
             DegradationClass::Degraded => degraded += 1,
             DegradationClass::Collapsed => collapsed += 1,
@@ -406,20 +360,21 @@ fn aggregate(
         family,
         intensity,
         policy: policy.to_string(),
-        utility: mean(&|m| m.total_utility),
-        energy: mean(&|m| m.energy),
-        uer: mean(&|m| {
-            if m.energy > 0.0 {
-                m.total_utility / m.energy
+        utility: mean(|r| r.utility),
+        energy: mean(|r| r.energy),
+        uer: mean(|r| {
+            if r.energy > 0.0 {
+                r.utility / r.energy
             } else {
                 0.0
             }
         }),
-        utility_ratio: mean(&Metrics::utility_ratio),
+        utility_ratio: mean(|r| r.utility_ratio),
         met,
         degraded,
         collapsed,
         panics,
+        audit_failures: runs.iter().filter(|r| r.audit_errors > 0).count(),
     }
 }
 
@@ -449,6 +404,10 @@ impl RobustnessReport {
                         ("degraded".into(), Json::uint(point.degraded as u64)),
                         ("collapsed".into(), Json::uint(point.collapsed as u64)),
                         ("panics".into(), Json::uint(point.panics as u64)),
+                        (
+                            "audit_failures".into(),
+                            Json::uint(point.audit_failures as u64),
+                        ),
                     ]));
                 }
                 points_json.push(Json::Obj(vec![
@@ -462,7 +421,7 @@ impl RobustnessReport {
             ]));
         }
         Json::Obj(vec![
-            ("schema".into(), Json::Str("eua-robustness/2".into())),
+            ("schema".into(), Json::Str("eua-robustness/3".into())),
             ("load".into(), Json::num(self.config.load)),
             (
                 "horizon_us".into(),
@@ -472,6 +431,7 @@ impl RobustnessReport {
                 "seeds".into(),
                 Json::Arr(self.config.seeds.iter().map(|&s| Json::uint(s)).collect()),
             ),
+            ("audit".into(), Json::Bool(self.config.audit)),
             (
                 "panic_cells".into(),
                 Json::Arr(
@@ -489,6 +449,9 @@ impl RobustnessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eua_analyze::scenario::FaultSpec;
+    use eua_core::make_policy;
+    use eua_sim::{Engine, Platform, SimConfig};
 
     #[test]
     fn zero_intensity_plan_is_exactly_none() {
@@ -555,36 +518,72 @@ mod tests {
     }
 
     #[test]
-    fn certified_sweep_cells_audit_clean() {
-        // Every certificate a certified sweep emits must pass the
-        // offline translation validator: the sweep's hot path is the
-        // same engine the audit crate re-checks event by event.
+    fn audited_sweep_points_audit_clean() {
+        // Every audited cell — faulted ones included — must pass the
+        // certificate audit up to what its fault plan explains: the
+        // sweep's hot path is the same engine the audit crate re-checks
+        // event by event.
         let mut config = RobustnessConfig::quick();
         config.policies = vec!["eua".into()];
-        config.intensities = vec![0.0];
-        config.certify = true;
-        let report = run_robustness(&config).expect("sweep");
-        assert_eq!(
-            report.certificates.len(),
-            FaultFamily::ALL.len(),
-            "one certificate per grid cell"
-        );
-        for (name, text) in &report.certificates {
-            let audit = eua_audit::audit_text(name, text);
-            assert!(
-                !audit.has_errors(),
-                "{name} failed audit:\n{}",
-                audit.render_text()
+        config.intensities = vec![0.0, 1.0];
+        config.audit = true;
+        let audited = run_robustness(&config).expect("sweep");
+        for point in &audited.points {
+            assert_eq!(
+                point.audit_failures,
+                0,
+                "{} at intensity {} failed audit",
+                point.family.key(),
+                point.intensity
             );
         }
-        // Without the flag the sweep stays certificate-free.
-        config.certify = false;
+        config.audit = false;
         let plain = run_robustness(&config).expect("sweep");
-        assert!(plain.certificates.is_empty());
         assert_eq!(
-            plain.points, report.points,
-            "certifying never perturbs metrics"
+            plain.points, audited.points,
+            "auditing never perturbs points"
         );
+    }
+
+    #[test]
+    fn every_standard_cell_lowers_to_an_exact_case() {
+        // Built without running: the quick tests never reach the
+        // standard grid's 0.25 and 0.75 intensities.
+        let config = RobustnessConfig::standard();
+        let cases = grid_cases(&config).expect("grid");
+        assert_eq!(
+            cases.len(),
+            FaultFamily::ALL.len()
+                * config.intensities.len()
+                * config.policies.len()
+                * config.seeds.len()
+        );
+        for (family, intensity, case) in &cases {
+            let cell = format!("{} at {intensity}", family.key());
+            let rendered = case.spec.render();
+            let reparsed = ScenarioSpec::parse(&rendered).expect("canonical text parses");
+            assert_eq!(reparsed, case.spec, "{cell}: parse(render(spec)) drifts");
+            assert_eq!(
+                reparsed.render(),
+                rendered,
+                "{cell}: render is not a fixpoint"
+            );
+            let plan = case
+                .spec
+                .faults
+                .as_ref()
+                .map_or_else(FaultPlan::none, FaultSpec::to_plan);
+            assert_eq!(plan, family.plan_at(*intensity), "{cell}: to_plan drifts");
+        }
+    }
+
+    #[test]
+    fn invalid_load_is_a_workload_error() {
+        let mut config = RobustnessConfig::quick();
+        config.load = -1.0;
+        let err = run_robustness(&config).expect_err("negative load");
+        assert!(err.starts_with("Figure 2 workload"), "{err}");
+        assert!(!err.contains("fault plan"), "{err}");
     }
 
     #[test]

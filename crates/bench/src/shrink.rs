@@ -91,10 +91,20 @@ pub struct ShrinkCase {
     pub horizon: TimeDelta,
 }
 
-/// The platform every chaos cell and every shrink probe runs on: the
+/// The platform every sweep cell and every shrink probe runs on: the
 /// paper's PowerNow! table under energy setting E1.
-fn campaign_platform() -> Platform {
+pub(crate) fn campaign_platform() -> Platform {
     Platform::powernow(EnergySetting::e1())
+}
+
+/// The `faults` stanza a sweep cell carries for `plan`: none for the
+/// unfaulted plan, so an unfaulted case renders without a stanza.
+pub(crate) fn fault_stanza(plan: &FaultPlan) -> Option<FaultSpec> {
+    if plan.is_none() {
+        None
+    } else {
+        FaultSpec::from_plan(plan)
+    }
 }
 
 /// Builds a campaign cell as a case — the one definition of what a
@@ -117,11 +127,7 @@ pub fn case_from_chaos_cell(config: &ChaosConfig, plan: &CellPlan) -> Result<Shr
         platform.table(),
         EnergySpec::e1(),
     )?;
-    spec.faults = if plan.faults.is_none() {
-        None
-    } else {
-        FaultSpec::from_plan(&plan.faults)
-    };
+    spec.faults = fault_stanza(&plan.faults);
     Ok(ShrinkCase {
         spec,
         policy: plan.policy.clone(),
@@ -137,13 +143,17 @@ pub(crate) struct CaseRun {
     pub(crate) grade: DegradationClass,
     /// Accrued utility over its ceiling.
     pub(crate) utility_ratio: f64,
+    /// Accrued utility.
+    pub(crate) utility: f64,
+    /// Energy consumed.
+    pub(crate) energy: f64,
     /// Audit errors the fault plan does not explain (0 unaudited).
     pub(crate) audit_errors: u64,
 }
 
 /// Runs the case once on the campaign platform, recording and auditing
 /// a decision certificate when `audit` is set. This is the executor of
-/// both campaign cells and [`probe`]. Unknown policies and engine
+/// [`execute_case`] and [`probe`]. Unknown policies and engine
 /// invariant violations panic (so [`probe`] classifies them);
 /// malformed candidate specs return `Err` (so [`probe`] rejects the
 /// candidate).
@@ -186,8 +196,33 @@ pub(crate) fn run_case(case: &ShrinkCase, audit: bool) -> Result<CaseRun, String
     Ok(CaseRun {
         grade,
         utility_ratio: outcome.metrics.utility_ratio(),
+        utility: outcome.metrics.total_utility,
+        energy: outcome.metrics.energy,
         audit_errors,
     })
+}
+
+/// Runs one sweep cell — a chaos campaign cell or a robustness grid
+/// cell — as its case, first checking that the case is an exact fixed
+/// point of `.scn` parse ∘ render. Any internal failure — render drift,
+/// unknown policy, simulation error — panics, and the worker pool
+/// settles the panic into the cell's slot.
+pub(crate) fn execute_case(case: &ShrinkCase, audit: bool) -> CaseRun {
+    // A cell's repro path is its `.scn` text, so the text must say
+    // exactly what the cell simulates (drift here would desync the
+    // shrinker from the sweep).
+    let rendered = case.spec.render();
+    let reparsed = ScenarioSpec::parse(&rendered)
+        .unwrap_or_else(|e| panic!("render drift: canonical text does not parse: {e}"));
+    assert!(
+        reparsed == case.spec,
+        "render drift: parse(render(spec)) != spec"
+    );
+    assert!(
+        reparsed.render() == rendered,
+        "render drift: render is not a fixpoint"
+    );
+    run_case(case, audit).unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 /// Whether (and how) the case reproduces a failure, audited whatever

@@ -107,13 +107,7 @@ pub struct Analysis {
 
 /// The worker-pool entry points whose closures must stay pure (see
 /// `crates/sim/src/pool.rs` and `crates/sim/src/runner.rs`).
-pub const POOL_APIS: [&str; 5] = [
-    "map_parallel",
-    "map_parallel_with",
-    "map_parallel_labeled",
-    "map_parallel_settle",
-    "replicate_parallel",
-];
+pub const POOL_APIS: [&str; 3] = ["map_parallel", "map_parallel_settle", "replicate_parallel"];
 
 /// Method names shared with std's containers/iterators/Option/Result.
 /// A non-`self` method call with one of these names is *external* even

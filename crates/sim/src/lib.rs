@@ -99,10 +99,7 @@ pub use job::{JobOutcome, JobRecord};
 pub use metrics::{FrequencyResidency, Metrics, TaskMetrics};
 pub use platform_view::Platform;
 pub use policy::{Decision, SchedulerPolicy};
-pub use pool::{
-    map_parallel, map_parallel_labeled, map_parallel_settle, map_parallel_with, resolve_jobs,
-    PoolError,
-};
-pub use runner::{replicate, replicate_parallel, Replication, Summary};
+pub use pool::{map_parallel, map_parallel_settle, resolve_jobs, PoolError};
+pub use runner::{replicate_parallel, Replication, Summary};
 pub use task::{Task, TaskSet};
 pub use trace::{ExecutionTrace, Segment, TraceEvent};

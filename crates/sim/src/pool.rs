@@ -2,25 +2,30 @@
 //! sweep work (per-seed replications, experiment-grid cells).
 //!
 //! The build environment is offline — no `rayon`, no `crossbeam` — so
-//! this module implements the minimum needed on plain `std`:
-//! [`std::thread::scope`] workers pulling `(index, item)` pairs from a
-//! mutex-guarded queue and returning `(index, result)` pairs through
-//! their join handles. Results are re-assembled in **input order**, so a
-//! parallel map is observably identical to the sequential one.
+//! this module implements the minimum needed on plain `std`, as one
+//! primitive, [`map_parallel_settle`]: [`std::thread::scope`] workers
+//! pull `(index, item)` pairs from a mutex-guarded queue and return
+//! `(index, result)` pairs through their join handles. Results are
+//! re-assembled in **input order**, so a parallel map is observably
+//! identical to the sequential one. [`map_parallel`] is the stateless,
+//! fail-on-first-panic form of the same call.
 //!
 //! Design points (see DESIGN.md §9 for the full rationale):
 //!
+//! * **One worker loop:** `jobs <= 1` runs the same worker loop on the
+//!   calling thread, so the sequential path is the parallel path
+//!   without threads.
 //! * **Scoped threads, no `'static`:** workers borrow the caller's data
 //!   (task sets, platforms, workloads) directly; nothing is cloned or
 //!   `Arc`-wrapped.
-//! * **Worker-local state via factory:** [`map_parallel_with`] builds one
-//!   state value (e.g. a scheduling policy) per *worker*, not per item,
-//!   so non-`Sync` mutable policy state never crosses threads and
+//! * **Worker-local state via factory:** `init` builds one state value
+//!   (e.g. a scheduling policy) per *worker*, not per item, so
+//!   non-`Sync` mutable policy state never crosses threads and
 //!   construction cost is amortized across the worker's items.
-//! * **Panics surface as errors:** a panicking job is reported as
-//!   [`PoolError::WorkerPanic`] after every other worker has drained the
-//!   queue — one poisoned item does not take down the process or lose
-//!   the siblings' completed work.
+//! * **Panics settle per item:** a panicking job becomes its own slot's
+//!   [`PoolError::WorkerPanic`], labelled with the item's name; every
+//!   other item still runs — one poisoned item does not take down the
+//!   process or lose the siblings' completed work.
 //!
 //! This is the only module in the workspace allowed to spawn threads;
 //! `ci.sh` greps for `thread::spawn`/`thread::scope` elsewhere.
@@ -28,13 +33,12 @@
 use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 /// Errors from a parallel map.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum PoolError {
     /// A worker job panicked. Carries the panic payload's message and the
     /// failing item's label (e.g. the `(policy, seed)` cell), so a
@@ -46,12 +50,6 @@ pub enum PoolError {
         /// The panic payload's message, when it carried one.
         message: String,
     },
-    /// A result slot was never filled (only reachable through a panic
-    /// that was itself lost, kept as a defensive invariant check).
-    MissingResult {
-        /// Input index of the missing item.
-        index: usize,
-    },
 }
 
 impl fmt::Display for PoolError {
@@ -59,9 +57,6 @@ impl fmt::Display for PoolError {
         match self {
             PoolError::WorkerPanic { label, message } => {
                 write!(f, "worker panicked while running {label}: {message}")
-            }
-            PoolError::MissingResult { index } => {
-                write!(f, "no result produced for item {index}")
             }
         }
     }
@@ -96,72 +91,53 @@ pub fn resolve_jobs(explicit: Option<usize>) -> usize {
 
 /// Parallel map preserving input order: `out[i] == f(i, items[i])`.
 ///
-/// With `jobs <= 1` (or at most one item) the map runs sequentially on
-/// the calling thread — the fallback path shares no code with the
-/// threaded one, so `--jobs 1` is always a faithful baseline.
+/// This is [`map_parallel_settle`] with `item {i}` labels and no
+/// worker state; `jobs <= 1` runs on the calling thread.
 ///
 /// # Errors
 ///
-/// [`PoolError::WorkerPanic`] if any job panicked; the remaining workers
-/// still drain the queue first.
+/// The first [`PoolError::WorkerPanic`] in input order if any job
+/// panicked; every other item is still attempted first, so the error is
+/// the same at any `jobs` count.
 pub fn map_parallel<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Result<Vec<R>, PoolError>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    map_parallel_with(jobs, items, || (), |(), i, t| f(i, t))
+    map_parallel_settle(
+        jobs,
+        items,
+        |i, _| format!("item {i}"),
+        || (),
+        |(), i, t| f(i, t),
+    )
+    .into_iter()
+    .collect()
 }
 
-/// [`map_parallel`] with **worker-local state**: `init` runs once per
-/// worker (on that worker's thread) and the state is threaded through
-/// every job the worker executes. The sequential fallback constructs the
-/// state exactly once.
+/// The pool's one implementation: a parallel map that **settles** every
+/// item into its own slot, in input order. A panicking item's slot is
+/// `Err(PoolError::WorkerPanic)` carrying `labeler(i, &items[i])` (e.g.
+/// `"policy eua, seed 23"`), while the other items' results are
+/// returned intact — one crashed sweep cell becomes a graded report
+/// entry rather than taking down the whole sweep.
 ///
-/// This is how policy values reach worker threads: policies are neither
-/// `Send` nor `Sync` by contract, so each worker builds its own from a
-/// `Sync` factory closure and reuses it across its share of the items.
+/// `init` builds **worker-local state** (e.g. a scheduling policy,
+/// which is neither `Send` nor `Sync`) on the worker's own thread when
+/// the worker takes its first item, and again after a panic, since the
+/// job may have torn the state mid-unwind. `jobs <= 1` runs the same
+/// worker loop on the calling thread. Each slot depends only on its own
+/// item, so the output is identical across `jobs` counts.
 ///
-/// # Errors
-///
-/// [`PoolError::WorkerPanic`] if any `init` or job panicked; the
-/// remaining workers still drain the queue first.
-pub fn map_parallel_with<S, T, R, I, F>(
-    jobs: usize,
-    items: Vec<T>,
-    init: I,
-    f: F,
-) -> Result<Vec<R>, PoolError>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) -> R + Sync,
-{
-    map_parallel_labeled(jobs, items, |i, _| format!("item {i}"), init, f)
-}
-
-/// [`map_parallel_with`] with a **labeler**: `labeler(i, &items[i])`
-/// names each item (e.g. `"policy eua, seed 23"`), and that label rides
-/// on [`PoolError::WorkerPanic`] when the item's job panics — a crashed
-/// sweep cell is then diagnosable from the error alone.
-///
-/// Panics are caught **per item** (the worker rebuilds its state through
-/// `init` and keeps draining the queue), and when several items panic the
-/// error reports the lowest input index, so the returned error is
-/// deterministic across `jobs` counts.
-///
-/// # Errors
-///
-/// [`PoolError::WorkerPanic`] if any job panicked; every other item is
-/// still attempted first.
-pub fn map_parallel_labeled<S, T, R, L, I, F>(
+/// A panicking `labeler` is a caller bug and propagates to the caller.
+pub fn map_parallel_settle<S, T, R, L, I, F>(
     jobs: usize,
     items: Vec<T>,
     labeler: L,
     init: I,
     f: F,
-) -> Result<Vec<R>, PoolError>
+) -> Vec<Result<R, PoolError>>
 where
     T: Send,
     R: Send,
@@ -170,148 +146,54 @@ where
     F: Fn(&mut S, usize, T) -> R + Sync,
 {
     let n = items.len();
-    if jobs <= 1 || n <= 1 {
-        let mut state = init();
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic: Option<(usize, String, String)> = None;
-        for (i, t) in items.into_iter().enumerate() {
-            let label = labeler(i, &t);
-            match catch_unwind(AssertUnwindSafe(|| f(&mut state, i, t))) {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some((i, label, panic_message(payload)));
-                    }
-                    // The job may have torn its state mid-panic.
-                    state = init();
-                }
-            }
-        }
-        return match first_panic {
-            Some((_, label, message)) => Err(PoolError::WorkerPanic { label, message }),
-            None => Ok(out),
-        };
-    }
-    let workers = jobs.min(n);
     let queue = Mutex::new(items.into_iter().enumerate());
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut panics: Vec<(usize, String, String)> = Vec::new();
-    // This is the one sanctioned raw-thread site in the workspace: the
-    // pool everything else is required to route through.
-    // eua-lint: allow(lint-thread-spawn)
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    let mut failed: Vec<(usize, String, String)> = Vec::new();
-                    loop {
-                        // A poisoned queue means a sibling panicked while
-                        // *taking* an item; treat the queue as drained.
-                        let next = match queue.lock() {
-                            Ok(mut q) => q.next(),
-                            Err(_) => None,
-                        };
-                        let Some((i, t)) = next else { break };
-                        let label = labeler(i, &t);
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut state, i, t))) {
-                            Ok(r) => done.push((i, r)),
-                            Err(payload) => {
-                                failed.push((i, label, panic_message(payload)));
-                                state = init();
-                            }
-                        }
+    let work = || {
+        let mut state: Option<S> = None;
+        let mut done: Vec<(usize, Result<R, PoolError>)> = Vec::new();
+        loop {
+            // Jobs run outside the lock, so a poisoned queue is still
+            // intact: keep draining it.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, t)) = next else { break };
+            let label = labeler(i, &t);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                f(state.get_or_insert_with(&init), i, t)
+            }));
+            done.push((
+                i,
+                run.map_err(|payload| {
+                    // The job may have torn the state mid-unwind; the
+                    // worker's next item rebuilds it.
+                    state = None;
+                    PoolError::WorkerPanic {
+                        label,
+                        message: panic_message(payload),
                     }
-                    (done, failed)
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok((done, failed)) => {
-                    for (i, r) in done {
-                        slots[i] = Some(r);
-                    }
-                    panics.extend(failed);
-                }
-                Err(payload) => {
-                    // Only `init` or `labeler` can get here now; report it
-                    // without an item attribution.
-                    panics.push((
-                        usize::MAX,
-                        "worker setup".to_string(),
-                        panic_message(payload),
-                    ));
-                }
-            }
+                }),
+            ));
         }
-    });
-    if let Some((_, label, message)) = panics.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-        return Err(PoolError::WorkerPanic { label, message });
-    }
-    let mut out = Vec::with_capacity(n);
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(r) => out.push(r),
-            None => return Err(PoolError::MissingResult { index }),
-        }
-    }
-    Ok(out)
-}
-
-/// [`map_parallel_labeled`] that **settles** instead of aborting: every
-/// item produces a slot, and a panicking item's slot is
-/// `Err(PoolError::WorkerPanic)` carrying that item's label, while the
-/// surviving items' results are returned intact. Chaos/robustness
-/// sweeps use this so one crashed cell becomes a graded report entry
-/// (and a shrink candidate) rather than taking down the whole campaign.
-///
-/// Slots are in input order, and each slot depends only on its own
-/// item, so the output is deterministic across `jobs` counts. The
-/// worker's state is rebuilt through `init` after a panic (the job may
-/// have torn it mid-unwind).
-///
-/// # Errors
-///
-/// The *outer* `Result` only fails if `init` or the labeler itself
-/// panicked — item-level panics are settled into their slots.
-pub fn map_parallel_settle<S, T, R, L, I, F>(
-    jobs: usize,
-    items: Vec<T>,
-    labeler: L,
-    init: I,
-    f: F,
-) -> Result<Vec<Result<R, PoolError>>, PoolError>
-where
-    T: Send,
-    R: Send,
-    L: Fn(usize, &T) -> String + Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) -> R + Sync,
-{
-    let labeled: Vec<(String, T)> = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (labeler(i, &t), t))
-        .collect();
-    map_parallel_labeled(
-        jobs,
-        labeled,
-        |_, (label, _)| label.clone(),
-        &init,
-        |state, i, (label, t)| match catch_unwind(AssertUnwindSafe(|| f(state, i, t))) {
-            Ok(r) => Ok(r),
-            Err(payload) => {
-                // The panic may have torn the worker's state mid-unwind.
-                *state = init();
-                Err(PoolError::WorkerPanic {
-                    label,
-                    message: panic_message(payload),
-                })
-            }
-        },
-    )
+        done
+    };
+    let workers = jobs.min(n);
+    let batches: Vec<Vec<(usize, Result<R, PoolError>)>> = if workers <= 1 {
+        vec![work()]
+    } else {
+        // This is the one sanctioned raw-thread site in the workspace:
+        // the pool everything else is required to route through.
+        // eua-lint: allow(lint-thread-spawn)
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+    // Every item was taken exactly once, so sorting by index restores
+    // input order.
+    let mut slots: Vec<(usize, Result<R, PoolError>)> = batches.into_iter().flatten().collect();
+    slots.sort_unstable_by_key(|&(i, _)| i);
+    slots.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -347,13 +229,9 @@ mod tests {
             x
         })
         .unwrap_err();
-        match err {
-            PoolError::WorkerPanic { label, message } => {
-                assert_eq!(label, "item 5");
-                assert!(message.contains("boom on five"), "message: {message}");
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
+        let PoolError::WorkerPanic { label, message } = err;
+        assert_eq!(label, "item 5");
+        assert!(message.contains("boom on five"), "message: {message}");
         // The pool is per-call: a panicked run leaves nothing behind and
         // the very next call works.
         let ok = map_parallel(2, vec![1, 2, 3], |_, x| x + 1).unwrap();
@@ -364,7 +242,7 @@ mod tests {
     fn panic_error_carries_cell_label_and_lowest_index_wins() {
         let items: Vec<(&str, u64)> = vec![("eua", 11), ("eua", 23), ("dasa", 11), ("dasa", 23)];
         for jobs in [1, 2, 4] {
-            let err = map_parallel_labeled(
+            let err = map_parallel_settle(
                 jobs,
                 items.clone(),
                 |_, (policy, seed)| format!("policy {policy}, seed {seed}"),
@@ -374,17 +252,15 @@ mod tests {
                     i
                 },
             )
+            .into_iter()
+            .collect::<Result<Vec<usize>, PoolError>>()
             .unwrap_err();
-            match err {
-                PoolError::WorkerPanic {
-                    ref label,
-                    ref message,
-                } => {
-                    assert_eq!(label, "policy dasa, seed 11", "jobs = {jobs}");
-                    assert!(message.contains("dasa cell crashed"), "jobs = {jobs}");
-                }
-                ref other => panic!("expected WorkerPanic, got {other:?}"),
-            }
+            let PoolError::WorkerPanic {
+                ref label,
+                ref message,
+            } = err;
+            assert_eq!(label, "policy dasa, seed 11", "jobs = {jobs}");
+            assert!(message.contains("dasa cell crashed"), "jobs = {jobs}");
             assert!(
                 err.to_string().contains("policy dasa, seed 11"),
                 "display must name the failing cell: {err}"
@@ -396,9 +272,10 @@ mod tests {
     fn worker_local_state_is_constructed_per_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let inits = AtomicUsize::new(0);
-        let out = map_parallel_with(
+        let out = map_parallel_settle(
             3,
             (0..30).collect::<Vec<usize>>(),
+            |i, _| format!("item {i}"),
             || {
                 inits.fetch_add(1, Ordering::SeqCst);
                 0usize
@@ -407,9 +284,8 @@ mod tests {
                 *seen += 1;
                 x
             },
-        )
-        .unwrap();
-        assert_eq!(out, (0..30).collect::<Vec<usize>>());
+        );
+        assert_eq!(out, (0..30).map(Ok).collect::<Vec<_>>());
         let constructed = inits.load(Ordering::SeqCst);
         assert!(
             (1..=3).contains(&constructed),
@@ -435,8 +311,7 @@ mod tests {
                     assert!(x != 5, "boom on five");
                     x * 2
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(out, expect, "jobs = {jobs}");
         }
     }
@@ -455,11 +330,30 @@ mod tests {
                 assert!(x != 2, "tear");
                 (*acc, x)
             },
-        )
-        .unwrap();
+        );
         // After the panic at x = 2 the state restarts from 0.
         assert_eq!(out[3], Ok((1, 3)));
         assert_eq!(out[4], Ok((2, 4)));
+    }
+
+    #[test]
+    fn a_panicking_init_settles_into_the_item_that_needed_it() {
+        let out = map_parallel_settle(
+            1,
+            vec![1, 2],
+            |i, _| format!("cell {i}"),
+            || -> i32 { panic!("no state") },
+            |state, _, x| *state + x,
+        );
+        for (i, slot) in out.iter().enumerate() {
+            assert_eq!(
+                *slot,
+                Err(PoolError::WorkerPanic {
+                    label: format!("cell {i}"),
+                    message: "no state".to_string(),
+                })
+            );
+        }
     }
 
     #[test]

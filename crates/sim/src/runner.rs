@@ -79,52 +79,22 @@ impl Summary {
     }
 }
 
-/// Runs `policy` under every seed in `seeds` and collects the metrics.
-///
-/// The policy's [`SchedulerPolicy::reset`] is invoked before each run, so
-/// one policy value can serve all replications.
-///
-/// # Errors
-///
-/// Returns [`SimError::ZeroReplications`] for an empty seed list and
-/// propagates any per-run error.
-pub fn replicate<P: SchedulerPolicy + ?Sized>(
-    tasks: &TaskSet,
-    patterns: &[ArrivalPattern],
-    platform: &Platform,
-    policy: &mut P,
-    config: &SimConfig,
-    seeds: &[u64],
-) -> Result<Summary, SimError> {
-    if seeds.is_empty() {
-        return Err(SimError::ZeroReplications);
-    }
-    let mut runs = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let outcome = Engine::run(tasks, patterns, platform, policy, config, seed)?;
-        runs.push(Replication {
-            seed,
-            metrics: outcome.metrics,
-        });
-    }
-    Ok(Summary { runs })
-}
-
-/// [`replicate`] with seeds fanned out over a [`crate::pool`] worker pool.
+/// Runs the policy under every seed in `seeds`, fanned out over the
+/// [`crate::pool`] worker pool, and collects the metrics.
 ///
 /// Policies are constructed **per worker** through `policy_factory` (one
 /// policy value per worker thread, reset by the engine before each seed),
 /// so the factory must be `Sync` but the policy itself never crosses
 /// threads. Runs are re-assembled in the order of `seeds`, and each run
 /// is an independent deterministic simulation, so the returned
-/// [`Summary`] is **bit-identical** to the sequential [`replicate`]'s —
-/// `jobs = 1` short-circuits to the sequential code path outright.
+/// [`Summary`] is **bit-identical** for any `jobs` count; `jobs = 1`
+/// runs the pool's worker loop on the calling thread.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::ZeroReplications`] for an empty seed list, the
-/// first (in seed order) per-run error, or [`SimError::Pool`] if a
-/// worker panicked.
+/// Returns [`SimError::ZeroReplications`] for an empty seed list,
+/// [`SimError::Pool`] for the first (in seed order) run that panicked,
+/// or else the first per-run error.
 pub fn replicate_parallel<P, F>(
     tasks: &TaskSet,
     patterns: &[ArrivalPattern],
@@ -141,11 +111,7 @@ where
     if seeds.is_empty() {
         return Err(SimError::ZeroReplications);
     }
-    if jobs <= 1 {
-        let mut policy = policy_factory();
-        return replicate(tasks, patterns, platform, &mut policy, config, seeds);
-    }
-    let results = crate::pool::map_parallel_labeled(
+    let results = crate::pool::map_parallel_settle(
         jobs,
         seeds.to_vec(),
         |_, seed| format!("seed {seed}"),
@@ -158,11 +124,10 @@ where
                 }
             })
         },
-    )?;
-    let mut runs = Vec::with_capacity(results.len());
-    for run in results {
-        runs.push(run?);
-    }
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    let runs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(Summary { runs })
 }
 
@@ -201,19 +166,25 @@ mod tests {
         )
     }
 
+    fn replicate(
+        (tasks, patterns, platform, config): &(TaskSet, Vec<ArrivalPattern>, Platform, SimConfig),
+        seeds: &[u64],
+        jobs: usize,
+    ) -> Result<Summary, SimError> {
+        replicate_parallel(
+            tasks,
+            patterns,
+            platform,
+            MaxSpeedEdf::new,
+            config,
+            seeds,
+            jobs,
+        )
+    }
+
     #[test]
     fn replicate_aggregates_all_seeds() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let summary = replicate(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut policy,
-            &config,
-            &[1, 2, 3, 4],
-        )
-        .unwrap();
+        let summary = replicate(&setup(), &[1, 2, 3, 4], 1).unwrap();
         assert_eq!(summary.runs.len(), 4);
         assert!(summary.mean_utility() > 0.0);
         assert!(summary.mean_energy() > 0.0);
@@ -224,26 +195,14 @@ mod tests {
 
     #[test]
     fn single_run_has_zero_std() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let summary = replicate(&tasks, &patterns, &platform, &mut policy, &config, &[7]).unwrap();
+        let summary = replicate(&setup(), &[7], 1).unwrap();
         assert_eq!(summary.std_by(|m| m.energy), 0.0);
         assert_eq!(summary.ci95_by(|m| m.energy), 0.0);
     }
 
     #[test]
     fn ci95_scales_with_std() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let summary = replicate(
-            &tasks,
-            &patterns,
-            &platform,
-            &mut policy,
-            &config,
-            &[1, 2, 3, 4],
-        )
-        .unwrap();
+        let summary = replicate(&setup(), &[1, 2, 3, 4], 1).unwrap();
         let std = summary.std_by(|m| m.total_utility);
         let ci = summary.ci95_by(|m| m.total_utility);
         assert!((ci - 1.96 * std / 2.0).abs() < 1e-9);
@@ -251,52 +210,25 @@ mod tests {
 
     #[test]
     fn empty_seed_list_rejected() {
-        let (tasks, patterns, platform, config) = setup();
-        let mut policy = MaxSpeedEdf::new();
-        let err = replicate(&tasks, &patterns, &platform, &mut policy, &config, &[]).unwrap_err();
-        assert_eq!(err, SimError::ZeroReplications);
-    }
-
-    #[test]
-    fn parallel_replication_is_bit_identical_to_sequential() {
-        let (tasks, patterns, platform, config) = setup();
-        let seeds = [9u64, 1, 5, 3, 7, 2]; // deliberately unsorted
-        let mut policy = MaxSpeedEdf::new();
-        let sequential =
-            replicate(&tasks, &patterns, &platform, &mut policy, &config, &seeds).unwrap();
-        for jobs in [1, 2, 4, 16] {
-            let parallel = replicate_parallel(
-                &tasks,
-                &patterns,
-                &platform,
-                MaxSpeedEdf::new,
-                &config,
-                &seeds,
-                jobs,
-            )
-            .unwrap();
-            assert_eq!(parallel, sequential, "jobs = {jobs}");
-            assert_eq!(
-                parallel.runs.iter().map(|r| r.seed).collect::<Vec<_>>(),
-                seeds.to_vec(),
-                "run order must follow the seed list, jobs = {jobs}"
-            );
+        for jobs in [1, 4] {
+            let err = replicate(&setup(), &[], jobs).unwrap_err();
+            assert_eq!(err, SimError::ZeroReplications, "jobs = {jobs}");
         }
     }
 
     #[test]
-    fn parallel_empty_seed_list_rejected() {
-        let (tasks, patterns, platform, config) = setup();
-        let err = replicate_parallel(
-            &tasks,
-            &patterns,
-            &platform,
-            MaxSpeedEdf::new,
-            &config,
-            &[],
-            4,
-        )
-        .unwrap_err();
-        assert_eq!(err, SimError::ZeroReplications);
+    fn parallel_replication_is_bit_identical_to_sequential() {
+        let fixture = setup();
+        let seeds = [9u64, 1, 5, 3, 7, 2]; // deliberately unsorted
+        let sequential = replicate(&fixture, &seeds, 1).unwrap();
+        assert_eq!(
+            sequential.runs.iter().map(|r| r.seed).collect::<Vec<_>>(),
+            seeds.to_vec(),
+            "run order must follow the seed list"
+        );
+        for jobs in [2, 4, 16] {
+            let parallel = replicate(&fixture, &seeds, jobs).unwrap();
+            assert_eq!(parallel, sequential, "jobs = {jobs}");
+        }
     }
 }

@@ -1,13 +1,13 @@
 #![allow(clippy::expect_used)] // test/demo code: panicking on bad setup is the point
 
 //! Cross-crate check of the parallel sweep runner: `replicate_parallel`
-//! must be **bit-identical** to sequential `replicate` — same metrics,
-//! same seed order — on a real paper workload, for any worker count, and
-//! the bench-layer parallel cell map must agree with its sequential self.
+//! at any worker count must be **bit-identical** to its `jobs = 1` run
+//! on the calling thread — same metrics, same seed order — on a real
+//! paper workload.
 
 use eua::core::Eua;
 use eua::platform::{EnergySetting, TimeDelta};
-use eua::sim::{replicate, replicate_parallel, Platform, SimConfig};
+use eua::sim::{replicate_parallel, Platform, SimConfig};
 use eua::workload::{fig2_workload, fig3_workload};
 
 const SEEDS: [u64; 6] = [17, 2, 9, 41, 3, 28];
@@ -18,18 +18,23 @@ fn parallel_replicate_is_bit_identical_on_fig2_workload() {
     let w = fig2_workload(0.8, 42, platform.f_max()).expect("workload");
     let config = SimConfig::new(TimeDelta::from_secs(2));
 
-    let mut policy = Eua::new();
-    let sequential = replicate(
+    let sequential = replicate_parallel(
         &w.tasks,
         &w.patterns,
         &platform,
-        &mut policy,
+        Eua::new,
         &config,
         &SEEDS,
+        1,
     )
     .expect("sequential run");
+    assert_eq!(
+        sequential.runs.iter().map(|r| r.seed).collect::<Vec<_>>(),
+        SEEDS.to_vec(),
+        "runs follow the seed list"
+    );
 
-    for jobs in [1, 2, 3, 8] {
+    for jobs in [2, 3, 8] {
         let parallel = replicate_parallel(
             &w.tasks,
             &w.patterns,
@@ -63,16 +68,21 @@ fn parallel_replicate_is_bit_identical_on_bursty_workload() {
     let w = fig3_workload(1.2, 3, 42, platform.f_max()).expect("workload");
     let config = SimConfig::new(TimeDelta::from_secs(1));
 
-    let mut policy = Eua::new();
-    let sequential = replicate(
+    let sequential = replicate_parallel(
         &w.tasks,
         &w.patterns,
         &platform,
-        &mut policy,
+        Eua::new,
         &config,
         &SEEDS,
+        1,
     )
     .expect("sequential run");
+    assert_eq!(
+        sequential.runs.iter().map(|r| r.seed).collect::<Vec<_>>(),
+        SEEDS.to_vec(),
+        "runs follow the seed list"
+    );
     let parallel = replicate_parallel(
         &w.tasks,
         &w.patterns,
