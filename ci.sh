@@ -161,8 +161,9 @@ grep '^lint-' <<<"${analyze_codes}" | while read -r code _; do
   fi
 done
 # The dataflow family must stay wired end to end: each of the three
-# codes registered, listed, and accepted by --only (a renamed rule
-# would otherwise silently drop out of the ci dataflow step above).
+# codes registered, listed, and accepted by --only, which must narrow
+# the code's own fixture to exactly one finding of that code (a renamed
+# rule would otherwise silently drop out of the ci dataflow step above).
 for code in lint-loop-alloc lint-seed-taint lint-unchecked-time-arith; do
   if ! grep -q "^${code} " <<<"${analyze_codes}"; then
     echo "error: ${code} is absent from the eua-analyze code registry" >&2
@@ -170,6 +171,19 @@ for code in lint-loop-alloc lint-seed-taint lint-unchecked-time-arith; do
   fi
   if ! grep -q "^${code} " <<<"${lint_codes}"; then
     echo "error: ${code} is not listed by eua-lint codes" >&2
+    exit 1
+  fi
+  name="${code#lint-}"
+  fixture="crates/lint/tests/fixtures/${name//-/_}.rs"
+  only_status=0
+  only_out="$(./target/debug/eua-lint check --only "${code}" "${fixture}")" \
+    || only_status=$?
+  if [[ "${only_status}" != 1 ]] \
+    || [[ "$(grep -c "error\[${code}\]" <<<"${only_out}")" != 1 ]] \
+    || ! grep -q ", 1 finding(s)$" <<<"${only_out}"; then
+    echo "error: --only ${code} on ${fixture} must exit 1 with exactly" \
+      "one ${code} finding:" >&2
+    echo "${only_out}" >&2
     exit 1
   fi
 done

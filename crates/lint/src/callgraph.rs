@@ -27,12 +27,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use eua_analyze::{DiagCode, Span};
+use eua_analyze::DiagCode;
 
+use crate::cfg::Cfg;
 use crate::flow::{classify, Unit};
 use crate::lexer::{Tok, TokKind};
-use crate::parser::{FnItem, ParsedFile};
-use crate::rules::{run_hazards, Finding, HotBody};
+use crate::parser::{match_bracket, FnItem, ParsedFile};
+use crate::rules::{run_hazards, span_of, Finding, HotBody, ENTROPY_SOURCES};
 use crate::taint;
 
 /// One file's inputs to the workspace analysis.
@@ -42,6 +43,9 @@ pub struct FileInput<'a> {
     pub code: &'a [&'a Tok<'a>],
     /// Parsed items for the same tokens.
     pub parsed: &'a ParsedFile,
+    /// Control-flow graphs index-aligned with `parsed.fns` (see
+    /// [`Cfg::for_fns`]); empty when no dataflow code is selected.
+    pub cfgs: &'a [Option<Cfg>],
     /// Indices into `parsed.fns` marked `// eua-lint: hot`.
     pub hot_marked: Vec<usize>,
     /// Indices into `parsed.fns` marked `// eua-lint: cold`
@@ -78,7 +82,8 @@ pub struct GraphStats {
     pub hot_reachable: usize,
     /// Closures handed to the worker-pool APIs.
     pub pool_closures: usize,
-    /// `seed_from_u64` construction sites the taint scan judged.
+    /// `seed_from_u64` construction sites the taint scan judged (zero
+    /// unless a dataflow code is selected, since the scan needs graphs).
     pub rng_sites: usize,
     /// Of those, sites whose seed expression provably derives from a
     /// master seed.
@@ -236,34 +241,6 @@ impl Class {
     }
 }
 
-/// The span of one token.
-fn span_of(t: &Tok<'_>) -> Span {
-    Span {
-        start_line: t.line,
-        start_col: t.col,
-        end_line: t.end_line,
-        end_col: t.end_col,
-    }
-}
-
-/// Index of the bracket closing the opener at `open`, or `code.len()`.
-fn match_bracket(code: &[&Tok<'_>], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in code.iter().enumerate().skip(open) {
-        match t.kind {
-            TokKind::Open => depth += 1,
-            TokKind::Close => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    code.len()
-}
-
 /// A nondeterminism source the purity scan recognizes directly, at one
 /// token position.
 fn marker_at(code: &[&Tok<'_>], j: usize) -> Option<(Class, String)> {
@@ -275,7 +252,7 @@ fn marker_at(code: &[&Tok<'_>], j: usize) -> Option<(Class, String)> {
     let called = code.get(j + 1).map(|n| n.text) == Some("(");
     match t.text {
         "Instant" | "SystemTime" => Some((Class::WallClock, t.text.into())),
-        "from_entropy" | "thread_rng" | "OsRng" => Some((Class::Entropy, t.text.into())),
+        s if ENTROPY_SOURCES.contains(&s) => Some((Class::Entropy, t.text.into())),
         "rand"
             if code.get(j + 1).map(|n| n.kind) == Some(TokKind::PathSep)
                 && code.get(j + 2).is_some_and(|n| n.is_ident("random")) =>
@@ -468,25 +445,7 @@ fn pool_closures_in(
         if code.get(j + 1).map(|t| t.text) != Some("(") {
             continue;
         }
-        let close = match_bracket(code, j + 1);
-        let mut depth = 1usize;
-        let mut arg_start = j + 2;
-        let mut bounds = Vec::new();
-        for (k, tok) in code.iter().enumerate().take(close).skip(j + 2) {
-            match tok.kind {
-                TokKind::Open => depth += 1,
-                TokKind::Close => depth -= 1,
-                TokKind::Punct if tok.text == "," && depth == 1 => {
-                    bounds.push((arg_start, k));
-                    arg_start = k + 1;
-                }
-                _ => {}
-            }
-        }
-        if arg_start < close {
-            bounds.push((arg_start, close));
-        }
-        for (mut a, b) in bounds {
+        for (mut a, b) in call_args(code, j) {
             if code.get(a).is_some_and(|t| t.is_ident("move")) {
                 a += 1;
             }
@@ -1016,8 +975,7 @@ pub fn analyze(files: &[FileInput<'_>]) -> Analysis {
             )
         })
         .collect();
-    let taint_fns: Vec<(usize, &FnItem)> = table.items.iter().map(|&(fi, _, f)| (fi, f)).collect();
-    let (seed_taint, rng_sites, seed_proven) = taint::scan(files, &taint_fns, &oracle);
+    let (seed_taint, rng_sites, seed_proven) = taint::scan(files, &oracle);
     out.seed_taint = seed_taint;
 
     // Stale cold barriers: never touched by propagation.

@@ -24,6 +24,7 @@
 //! conservative direction for both taint and loop-depth queries.
 
 use crate::lexer::{Tok, TokKind};
+use crate::parser::{match_bracket, FnItem};
 
 /// One basic block: the code-token indices it owns plus its loop depth.
 #[derive(Debug, Default)]
@@ -75,6 +76,20 @@ impl Cfg {
             edges: b.edges.into_iter().collect(),
             back_edges: b.back_edges.into_iter().collect(),
         }
+    }
+
+    /// One graph per function of a parsed file, index-aligned with
+    /// `fns`: `None` for `#[cfg(test)]` functions (test code is not held
+    /// to the dataflow rules, matching the call-graph table's exclusion)
+    /// and for empty or truncated bodies.
+    #[must_use]
+    pub fn for_fns(code: &[&Tok<'_>], fns: &[FnItem]) -> Vec<Option<Self>> {
+        fns.iter()
+            .map(|f| {
+                let body_ok = f.body.0 < f.body.1 && f.body.1 <= code.len();
+                (!f.in_test_mod && body_ok).then(|| Cfg::build(code, f.body))
+            })
+            .collect()
     }
 
     /// Successors of `block`, in ascending id order.
@@ -154,24 +169,6 @@ impl Builder<'_, '_> {
         self.blocks[b].tokens.push(i);
     }
 
-    /// Finds the matching close bracket for the open bracket at `open`.
-    fn close_of(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        for (j, t) in self.code.iter().enumerate().skip(open) {
-            match t.kind {
-                TokKind::Open => depth += 1,
-                TokKind::Close => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.code.len()
-    }
-
     /// First `{` at bracket depth 0 in `[from, limit)` — the body open
     /// of an `if`/`while`/`for`/`match` header. Parens and square
     /// brackets nest; a struct-literal brace cannot appear at depth 0
@@ -231,7 +228,7 @@ impl Builder<'_, '_> {
                         && self.code[i].kind != TokKind::Close
                     {
                         if self.code[i].kind == TokKind::Open {
-                            let close = self.close_of(i).min(limit);
+                            let close = match_bracket(self.code, i).min(limit);
                             for k in i..=close.min(limit - 1) {
                                 self.push_tok(&mut cur, k);
                             }
@@ -319,7 +316,7 @@ impl Builder<'_, '_> {
         for k in i + 1..open {
             self.push_tok(cur, k);
         }
-        let close = self.close_of(open).min(limit);
+        let close = match_bracket(self.code, open).min(limit);
         let cond_block = cur.unwrap_or(ENTRY);
         let then_block = self.new_block(self.depth());
         self.edge(cond_block, then_block);
@@ -343,7 +340,7 @@ impl Builder<'_, '_> {
                 }
                 return (i + 1, join);
             };
-            let eclose = self.close_of(eopen).min(limit);
+            let eclose = match_bracket(self.code, eopen).min(limit);
             let else_block = self.new_block(self.depth());
             self.edge(cond_block, else_block);
             let else_end = self.walk(eopen + 1, eclose, Some(else_block));
@@ -375,7 +372,7 @@ impl Builder<'_, '_> {
         for k in i + 1..open {
             self.push_tok(cur, k);
         }
-        let close = self.close_of(open).min(limit);
+        let close = match_bracket(self.code, open).min(limit);
         let head = cur.unwrap_or(ENTRY);
         let join = self.new_block(self.depth());
         let mut j = open + 1;
@@ -412,7 +409,7 @@ impl Builder<'_, '_> {
             // next top-level `,` (or the match close).
             let arm_end =
                 if j < close && self.code[j].kind == TokKind::Open && self.code[j].text == "{" {
-                    let bclose = self.close_of(j).min(close);
+                    let bclose = match_bracket(self.code, j).min(close);
                     let end = self.walk(j + 1, bclose, Some(arm));
                     j = bclose + 1;
                     if j < close && self.code[j].text == "," {
@@ -470,7 +467,7 @@ impl Builder<'_, '_> {
         for k in i + 1..open {
             self.blocks[head].tokens.push(k);
         }
-        let close = self.close_of(open).min(limit);
+        let close = match_bracket(self.code, open).min(limit);
         let after = self.new_block(outer);
         self.loops.push(LoopCtx { label, head, after });
         let body = self.new_block(self.depth());
@@ -504,21 +501,7 @@ mod tests {
             .iter()
             .position(|t| t.kind == TokKind::Open && t.text == "{")
             .unwrap();
-        let mut depth = 0usize;
-        let mut close = code.len();
-        for (j, t) in code.iter().enumerate().skip(open) {
-            match t.kind {
-                TokKind::Open => depth += 1,
-                TokKind::Close => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = j;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
+        let close = match_bracket(&code, open);
         (toks, (open + 1, close))
     }
 

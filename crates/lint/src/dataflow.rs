@@ -1,4 +1,5 @@
-//! A generic worklist fixpoint over [`crate::cfg`] graphs.
+//! A generic worklist fixpoint over [`crate::cfg`] graphs, and the one
+//! binding-environment flow both intraprocedural rules run on.
 //!
 //! An [`Analysis`] supplies the lattice: a fact type, the boundary fact
 //! (what holds at the entry for a forward analysis, at the exit for a
@@ -9,6 +10,13 @@
 //! direction — callers re-run `transfer` on a block when they need the
 //! fact at a particular token.
 //!
+//! `visit_bindings` is that re-run for the rules that track what each
+//! local binding holds (time-arithmetic kinds, seed provenance): one
+//! statement walker for `let` bindings and reassignments, one forward
+//! analysis over per-name environments, and one entry point that
+//! solves each function once. A rule supplies only its `Bindings`
+//! lattice.
+//!
 //! Termination is the caller's contract: `join` must be monotone over a
 //! lattice of finite height (every lattice in this crate is a small
 //! enum or a map keyed by the finitely many identifiers in one
@@ -16,7 +24,12 @@
 //! buggy lattice degrades to a loud panic in tests rather than a hung
 //! lint run.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use crate::cfg::{Cfg, ENTRY, EXIT};
+use crate::lexer::{Tok, TokKind};
+use crate::parser::FnItem;
 
 /// Which way facts flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,12 +145,205 @@ pub fn solve<A: Analysis>(cfg: &Cfg, analysis: &A) -> Vec<A::Fact> {
     input
 }
 
+/// What a [`Bindings`] lattice knows about each local, by name. An
+/// absent name is the lattice's "unknown".
+pub(crate) type Env<V> = BTreeMap<String, V>;
+
+/// A per-binding lattice for [`visit_bindings`]: what parameters, `let`
+/// bindings and reassignments bind, and how one name's values from two
+/// paths merge.
+pub(crate) trait Bindings {
+    /// The value tracked per name. "Unknown" is absence, never a value.
+    type V: Copy + PartialEq;
+
+    /// The environment at function entry (from the parameters).
+    fn params(&self, f: &FnItem) -> Env<Self::V>;
+
+    /// What `let name [: tys] [= init];` or `name = init;` binds
+    /// `name` to; `None` unbinds it. `tys` holds the annotation's
+    /// identifiers (empty for a reassignment); `init` is the
+    /// initializer's code-token range, `None` when there is none or a
+    /// `{` opens before its `;` (the initializer spans control flow).
+    fn bind(
+        &self,
+        code: &[&Tok<'_>],
+        name: &str,
+        tys: &[String],
+        init: Option<Range<usize>>,
+        env: &Env<Self::V>,
+    ) -> Option<Self::V>;
+
+    /// Merges one name's values from two paths (`None` = unbound).
+    fn join(&self, a: Option<Self::V>, b: Option<Self::V>) -> Option<Self::V>;
+}
+
+/// Applies the binding effect of the statement starting at code token
+/// `j` — `let [mut] name [: Ty] [= init];` bounded by its own `;`, or a
+/// statement-initial `name = init;` — to `env`. Destructuring patterns
+/// bind nothing.
+fn stmt_effect<L: Bindings>(code: &[&Tok<'_>], j: usize, lattice: &L, env: &mut Env<L::V>) {
+    let limit = (j + 96).min(code.len());
+    let is_punct = |t: &Tok<'_>, p: &str| t.kind == TokKind::Punct && t.text == p;
+    let init_from = |from: usize| -> Option<Range<usize>> {
+        for (k, t) in code.iter().enumerate().take(limit).skip(from) {
+            if is_punct(t, ";") {
+                return Some(from..k);
+            }
+            if t.kind == TokKind::Open && t.text == "{" {
+                return None;
+            }
+        }
+        None
+    };
+    let (name, tys, init) = if code[j].is_ident("let") {
+        let mut at = j + 1;
+        if code.get(at).is_some_and(|t| t.is_ident("mut")) {
+            at += 1;
+        }
+        let Some(name_tok) = code.get(at).filter(|t| t.kind == TokKind::Ident) else {
+            return;
+        };
+        let mut tys = Vec::new();
+        let mut init = None;
+        for (k, t) in code.iter().enumerate().take(limit).skip(at + 1) {
+            if is_punct(t, "=") {
+                init = init_from(k + 1);
+                break;
+            }
+            if is_punct(t, ";") {
+                break; // `let x;` — no initializer
+            }
+            if t.kind == TokKind::Ident {
+                tys.push(t.text.to_string());
+            }
+        }
+        (name_tok.text, tys, init)
+    } else if code[j].kind == TokKind::Ident
+        && j > 0
+        && matches!(
+            (code[j - 1].kind, code[j - 1].text),
+            (TokKind::Punct, ";") | (TokKind::Open, "{") | (TokKind::Close, "}")
+        )
+        && code.get(j + 1).is_some_and(|t| is_punct(t, "="))
+        && !code.get(j + 2).is_some_and(|t| is_punct(t, "="))
+    {
+        (code[j].text, Vec::new(), init_from(j + 2))
+    } else {
+        return;
+    };
+    match lattice.bind(code, name, &tys, init, env) {
+        Some(v) => {
+            env.insert(name.to_string(), v);
+        }
+        None => {
+            env.remove(name);
+        }
+    }
+}
+
+/// The forward analysis over one function body: `None` is the
+/// unreachable bottom; reachable environments join name by name
+/// through the lattice.
+struct BindingFlow<'a, 'b, L: Bindings> {
+    code: &'a [&'a Tok<'b>],
+    lattice: &'a L,
+    entry: Env<L::V>,
+}
+
+impl<L: Bindings> Analysis for BindingFlow<'_, '_, L> {
+    type Fact = Option<Env<L::V>>;
+
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
+
+    fn boundary(&self) -> Self::Fact {
+        Some(self.entry.clone())
+    }
+
+    fn bottom(&self) -> Self::Fact {
+        None
+    }
+
+    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
+        match (a, b) {
+            (None, x) | (x, None) => x.clone(),
+            (Some(a), Some(b)) => Some(
+                a.keys()
+                    .chain(b.keys())
+                    .filter_map(|k| {
+                        let v = self.lattice.join(a.get(k).copied(), b.get(k).copied())?;
+                        Some((k.clone(), v))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn transfer(&self, cfg: &Cfg, block: usize, fact: &Self::Fact) -> Self::Fact {
+        let mut env = fact.clone()?;
+        for &j in &cfg.blocks[block].tokens {
+            stmt_effect(self.code, j, self.lattice, &mut env);
+        }
+        Some(env)
+    }
+}
+
+/// Runs `lattice` over the functions of one file and calls
+/// `visit(j, env)` for every reachable code token `j` whose innermost
+/// enclosing function is the one solved, with `env` the environment
+/// holding just before `j`. `cfgs[k]` is the graph of `fns[k]` (`None`
+/// for functions the scan skips); each function with a graph is solved
+/// once when `wanted` accepts it. A nested function's tokens are walked
+/// transparently by its parent but visited only under its own solve.
+pub(crate) fn visit_bindings<L: Bindings>(
+    code: &[&Tok<'_>],
+    fns: &[FnItem],
+    cfgs: &[Option<Cfg>],
+    lattice: &L,
+    wanted: impl Fn(&FnItem) -> bool,
+    mut visit: impl FnMut(usize, &Env<L::V>),
+) {
+    // Functions come in source order, so a nested function overwrites
+    // its parent's claim on its own tokens.
+    let mut owner = vec![usize::MAX; code.len()];
+    for (k, (f, cfg)) in fns.iter().zip(cfgs).enumerate() {
+        if let (Some(_), Some(slots)) = (cfg, owner.get_mut(f.body.0..f.body.1)) {
+            slots.fill(k);
+        }
+    }
+    // One scratch environment reused across every block of every
+    // function — `clone_from` keeps the map's storage instead of
+    // allocating a fresh copy per block.
+    let mut env = Env::new();
+    for (k, (f, cfg)) in fns.iter().zip(cfgs).enumerate() {
+        let Some(cfg) = cfg.as_ref().filter(|_| wanted(f)) else {
+            continue;
+        };
+        let flow = BindingFlow {
+            code,
+            lattice,
+            entry: lattice.params(f),
+        };
+        for (b, fact) in solve(cfg, &flow).iter().enumerate() {
+            let Some(env0) = fact else { continue }; // unreachable
+            env.clone_from(env0);
+            for &j in &cfg.blocks[b].tokens {
+                if owner.get(j) == Some(&k) {
+                    visit(j, &env);
+                }
+                stmt_effect(code, j, lattice, &mut env);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use crate::cfg::Cfg;
-    use crate::lexer::{lex, Tok, TokKind};
+    use crate::lexer::lex;
+    use crate::parser::match_bracket;
 
     fn build(src: &str) -> (Vec<Tok<'_>>, Cfg) {
         let toks = lex(src);
@@ -146,22 +352,7 @@ mod tests {
             .iter()
             .position(|t| t.kind == TokKind::Open && t.text == "{")
             .unwrap();
-        let mut depth = 0usize;
-        let mut close = code.len();
-        for (j, t) in code.iter().enumerate().skip(open) {
-            match t.kind {
-                TokKind::Open => depth += 1,
-                TokKind::Close => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = j;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let cfg = Cfg::build(&code, (open + 1, close));
+        let cfg = Cfg::build(&code, (open + 1, match_bracket(&code, open)));
         (toks, cfg)
     }
 

@@ -37,6 +37,7 @@ use std::ops::Range;
 use eua_analyze::{DiagCode, Span};
 
 use crate::lexer::{lex, Tok, TokKind};
+use crate::parser::match_bracket;
 use crate::FileLint;
 
 /// One applied rewrite.
@@ -220,25 +221,6 @@ fn suppression_edits(lint: &FileLint, text: &str, starts: &[usize], edits: &mut 
 /// into `Ordering` (what `total_cmp` returns directly).
 const UNWRAP_FAMILY: [&str; 4] = ["unwrap", "expect", "unwrap_or", "unwrap_or_else"];
 
-/// Finds the code-token index of a matching close paren, starting at an
-/// open paren index (string contents never tokenize, so parens balance).
-fn match_paren(code: &[&Tok<'_>], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in code.iter().enumerate().skip(open) {
-        match t.text {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Builds the `partial_cmp` → `total_cmp` edits for flagged sort
 /// comparators.
 fn float_edits(lint: &FileLint, text: &str, edits: &mut Vec<Edit>) {
@@ -265,9 +247,9 @@ fn float_edits(lint: &FileLint, text: &str, edits: &mut Vec<Edit>) {
         if code.get(at + 1).map(|t| t.text) != Some("(") {
             continue;
         }
-        let Some(args_close) = match_paren(&code, at + 1) else {
-            continue;
-        };
+        // An unbalanced call leaves `args_close` at `code.len()`, where
+        // the adapter match below finds nothing.
+        let args_close = match_bracket(&code, at + 1);
         let adapter = match (code.get(args_close + 1), code.get(args_close + 2)) {
             (Some(dot), Some(name))
                 if dot.kind == TokKind::Dot
@@ -281,7 +263,7 @@ fn float_edits(lint: &FileLint, text: &str, edits: &mut Vec<Edit>) {
         if code.get(args_close + 3).map(|t| t.text) != Some("(") {
             continue;
         }
-        let Some(adapter_close) = match_paren(&code, args_close + 3) else {
+        let Some(adapter_close) = code.get(match_bracket(&code, args_close + 3)) else {
             continue;
         };
         edits.push(Edit {
@@ -294,7 +276,7 @@ fn float_edits(lint: &FileLint, text: &str, edits: &mut Vec<Edit>) {
             }),
         });
         edits.push(Edit {
-            range: off(text, code[args_close]) + 1..off(text, code[adapter_close]) + 1,
+            range: off(text, code[args_close]) + 1..off(text, adapter_close) + 1,
             replacement: String::new(),
             fix: None,
         });

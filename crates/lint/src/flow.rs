@@ -93,14 +93,14 @@ pub fn classify(name: Option<&str>, ty_tokens: &[String]) -> Option<Unit> {
 // machine-applicable saturating rewrite when both operand kinds pin a
 // lossless replacement method.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use eua_analyze::DiagCode;
 
 use crate::cfg::Cfg;
-use crate::dataflow::{self, Direction};
+use crate::dataflow::{visit_bindings, Bindings, Env};
 use crate::lexer::{Tok, TokKind};
-use crate::parser::FnItem;
+use crate::parser::{match_bracket, FnItem};
 use crate::rules::{span_between, Finding};
 
 /// The per-binding value kind the time-arithmetic lattice tracks.
@@ -116,9 +116,6 @@ enum Vk {
     /// `_us`-name fallback for the binding).
     Float,
 }
-
-/// The per-block binding environment. Absent means "unknown".
-type Env = BTreeMap<String, Vk>;
 
 /// Integral type tokens that make a `_us`-named binding a raw
 /// microsecond integer.
@@ -159,7 +156,7 @@ pub(crate) fn is_keyword(s: &str) -> bool {
 /// The kind carried by the identifier `name` at an operand position:
 /// the environment wins; an untracked name falls back to the unit
 /// lattice's `_us` suffix idiom.
-fn kind_of(name: &str, env: &Env) -> Option<Vk> {
+fn kind_of(name: &str, env: &Env<Vk>) -> Option<Vk> {
     if let Some(k) = env.get(name) {
         return Some(*k);
     }
@@ -189,24 +186,12 @@ fn kind_from_ty(tys: &[String], name: &str) -> Option<Vk> {
     }
 }
 
-/// The boundary environment of a function: its typed parameters.
-fn param_env(f: &FnItem) -> Env {
-    let mut env = Env::new();
-    for p in &f.params {
-        let Some(name) = &p.name else { continue };
-        if let Some(k) = kind_from_ty(&p.ty, name) {
-            env.insert(name.clone(), k);
-        }
-    }
-    env
-}
-
 /// The kind of an initializer expression spanning code tokens
 /// `range`. Deliberately shallow: constructor and conversion markers
 /// win, then a single-identifier copy propagates its kind; anything
 /// else is unknown (which only costs a finding's fix, never causes a
 /// wrong one).
-fn expr_kind(code: &[&Tok<'_>], range: std::ops::Range<usize>, env: &Env) -> Option<Vk> {
+fn expr_kind(code: &[&Tok<'_>], range: Range<usize>, env: &Env<Vk>) -> Option<Vk> {
     let idents: Vec<&str> = range
         .filter_map(|j| {
             let t = code.get(j)?;
@@ -234,132 +219,41 @@ fn expr_kind(code: &[&Tok<'_>], range: std::ops::Range<usize>, env: &Env) -> Opt
     None
 }
 
-/// Applies the binding effect of the statement starting at code token
-/// `j` (a `let` or a plain reassignment), if any, to `env`. Scans
-/// ahead in the flat stream; a `{` before the `;` means the
-/// initializer spans control flow, and the binding conservatively
-/// degrades to unknown.
-fn stmt_effect(code: &[&Tok<'_>], j: usize, env: &mut Env) {
-    let limit = (j + 96).min(code.len());
-    let find_semi = |from: usize| -> Option<usize> {
-        for (k, t) in code.iter().enumerate().take(limit).skip(from) {
-            if t.kind == TokKind::Punct && t.text == ";" {
-                return Some(k);
-            }
-            if t.kind == TokKind::Open && t.text == "{" {
-                return None;
-            }
-        }
-        None
-    };
-    if code[j].is_ident("let") {
-        let mut at = j + 1;
-        if code.get(at).is_some_and(|t| t.is_ident("mut")) {
-            at += 1;
-        }
-        let Some(name_tok) = code.get(at).filter(|t| t.kind == TokKind::Ident) else {
-            return; // destructuring pattern: nothing single to track
-        };
-        let name = name_tok.text.to_string();
-        // Optional `: Ty` annotation up to the `=`.
-        let mut tys = Vec::new();
-        let mut eq = None;
-        for (k, t) in code.iter().enumerate().take(limit).skip(at + 1) {
-            if t.kind == TokKind::Punct && t.text == "=" {
-                eq = Some(k);
-                break;
-            }
-            if t.kind == TokKind::Punct && t.text == ";" {
-                break; // `let x;` — no initializer
-            }
-            if t.kind == TokKind::Ident {
-                tys.push(t.text.to_string());
-            }
-        }
-        let annotated = (!tys.is_empty())
-            .then(|| kind_from_ty(&tys, &name))
-            .flatten();
-        let inferred = eq.and_then(|e| {
-            let semi = find_semi(e + 1)?;
-            expr_kind(code, e + 1..semi, env)
-        });
-        match annotated.or(inferred) {
-            Some(k) => {
-                env.insert(name, k);
-            }
-            None => {
-                env.remove(&name);
-            }
-        }
-    } else if code[j].kind == TokKind::Ident
-        && j > 0
-        && matches!(
-            (code[j - 1].kind, code[j - 1].text),
-            (TokKind::Punct, ";") | (TokKind::Open, "{") | (TokKind::Close, "}")
-        )
-        && code
-            .get(j + 1)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text == "=")
-        && !code
-            .get(j + 2)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text == "=")
-    {
-        // Plain statement-initial reassignment: `x = expr;`.
-        let name = code[j].text.to_string();
-        let kind = find_semi(j + 2).and_then(|semi| expr_kind(code, j + 2..semi, env));
-        match kind {
-            Some(k) => {
-                env.insert(name, k);
-            }
-            None => {
-                env.remove(&name);
-            }
-        }
-    }
-}
+/// The time-arithmetic lattice: a binding keeps a kind only when every
+/// path agrees on it (a must-analysis), so a merge never invents a fix.
+struct TimeKinds;
 
-/// The forward must-analysis over one function body: `None` is the
-/// unreachable bottom; a map joins by intersection (a binding survives
-/// a merge only when every path agrees on its kind).
-struct ArithScan<'a> {
-    code: &'a [&'a Tok<'a>],
-    boundary: Env,
-}
+impl Bindings for TimeKinds {
+    type V = Vk;
 
-impl dataflow::Analysis for ArithScan<'_> {
-    type Fact = Option<Env>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
+    fn params(&self, f: &FnItem) -> Env<Vk> {
+        f.params
+            .iter()
+            .filter_map(|p| {
+                let name = p.name.as_ref()?;
+                Some((name.clone(), kind_from_ty(&p.ty, name)?))
+            })
+            .collect()
     }
 
-    fn boundary(&self) -> Self::Fact {
-        Some(self.boundary.clone())
+    /// A declared type wins over the initializer's kind.
+    fn bind(
+        &self,
+        code: &[&Tok<'_>],
+        name: &str,
+        tys: &[String],
+        init: Option<Range<usize>>,
+        env: &Env<Vk>,
+    ) -> Option<Vk> {
+        kind_from_ty(tys, name).or_else(|| expr_kind(code, init?, env))
     }
 
-    fn bottom(&self) -> Self::Fact {
-        None
-    }
-
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        match (a, b) {
-            (None, x) | (x, None) => x.clone(),
-            (Some(a), Some(b)) => Some(
-                a.iter()
-                    .filter(|(k, v)| b.get(*k) == Some(v))
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect(),
-            ),
+    fn join(&self, a: Option<Vk>, b: Option<Vk>) -> Option<Vk> {
+        if a == b {
+            a
+        } else {
+            None
         }
-    }
-
-    fn transfer(&self, cfg: &Cfg, block: usize, fact: &Self::Fact) -> Self::Fact {
-        let env0 = fact.as_ref()?;
-        let mut env = env0.clone();
-        for &j in &cfg.blocks[block].tokens {
-            stmt_effect(self.code, j, &mut env);
-        }
-        Some(env)
     }
 }
 
@@ -386,20 +280,11 @@ fn postfix_end(code: &[&Tok<'_>], i: usize) -> usize {
                 _ => break,
             },
             Some(p) if p.kind == TokKind::Open && p.text == "(" => {
-                let mut depth = 1usize;
-                let mut k = e + 2;
-                while k < code.len() && depth > 0 {
-                    match code[k].kind {
-                        TokKind::Open => depth += 1,
-                        TokKind::Close => depth -= 1,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                if depth > 0 {
+                let close = match_bracket(code, e + 1);
+                if close >= code.len() {
                     break;
                 }
-                e = k - 1;
+                e = close;
             }
             _ => break,
         }
@@ -410,7 +295,7 @@ fn postfix_end(code: &[&Tok<'_>], i: usize) -> usize {
 /// Checks the code token at `j` for a raw binary `+`/`-`/`*` (or
 /// compound `+=`-family) over microsecond operands under `env`, and
 /// reports it.
-fn check_op(code: &[&Tok<'_>], j: usize, env: &Env, out: &mut Vec<Finding>) {
+fn check_op(code: &[&Tok<'_>], j: usize, env: &Env<Vk>, out: &mut Vec<Finding>) {
     let t = code[j];
     if t.kind != TokKind::Punct || !matches!(t.text, "+" | "-" | "*") {
         return;
@@ -529,45 +414,17 @@ fn check_op(code: &[&Tok<'_>], j: usize, env: &Env, out: &mut Vec<Finding>) {
     });
 }
 
-/// Runs the time-arithmetic analysis over every non-test function of a
-/// parsed file and appends its findings.
-pub fn unchecked_time_arith(code: &[&Tok<'_>], fns: &[FnItem], out: &mut Vec<Finding>) {
-    // Innermost owner per token, so a nested function's operators are
-    // judged only under its own environment (parents walk over nested
-    // bodies transparently).
-    let mut owner = vec![usize::MAX; code.len()];
-    for (k, f) in fns.iter().enumerate() {
-        if f.body.0 <= f.body.1 && f.body.1 <= code.len() {
-            for slot in &mut owner[f.body.0..f.body.1] {
-                *slot = k;
-            }
-        }
-    }
-    // One scratch environment reused across every block of every
-    // function — `clone_from` keeps the map's storage instead of
-    // allocating a fresh copy per block.
-    let mut env = Env::new();
-    for (k, f) in fns.iter().enumerate() {
-        if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code.len() {
-            continue;
-        }
-        let scan = ArithScan {
-            code,
-            boundary: param_env(f),
-        };
-        let cfg = Cfg::build(code, f.body);
-        let facts = dataflow::solve(&cfg, &scan);
-        for (b, fact) in facts.iter().enumerate() {
-            let Some(env0) = fact else { continue }; // unreachable
-            env.clone_from(env0);
-            for &j in &cfg.blocks[b].tokens {
-                if owner.get(j) == Some(&k) {
-                    check_op(code, j, &env, out);
-                }
-                stmt_effect(code, j, &mut env);
-            }
-        }
-    }
+/// Runs the time-arithmetic analysis over every function of a parsed
+/// file that has a graph in `cfgs` (see [`Cfg::for_fns`]) and appends
+/// its findings.
+pub fn unchecked_time_arith(
+    code: &[&Tok<'_>],
+    fns: &[FnItem],
+    cfgs: &[Option<Cfg>],
+    out: &mut Vec<Finding>,
+) {
+    let check = |j, env: &Env<Vk>| check_op(code, j, env, out);
+    visit_bindings(code, fns, cfgs, &TimeKinds, |_| true, check);
 }
 
 #[cfg(test)]
@@ -638,8 +495,9 @@ mod tests {
             .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
             .collect();
         let parsed = crate::parser::parse_file(&code);
+        let cfgs = Cfg::for_fns(&code, &parsed.fns);
         let mut out = Vec::new();
-        unchecked_time_arith(&code, &parsed.fns, &mut out);
+        unchecked_time_arith(&code, &parsed.fns, &cfgs, &mut out);
         out
     }
 

@@ -105,13 +105,26 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// The char starting `ahead` bytes past the cursor (`None` at the
+    /// end or off a char boundary).
+    fn peek_char(&self, ahead: usize) -> Option<char> {
+        self.src.get(self.i + ahead..)?.chars().next()
+    }
+
+    /// Whether an identifier can start `ahead` bytes past the cursor
+    /// (Unicode letters included: Rust identifiers may be non-ASCII).
+    fn ident_start(&self, ahead: usize) -> bool {
+        self.peek_char(ahead)
+            .is_some_and(|c| c.is_alphabetic() || c == '_')
+    }
+
     /// Consumes an identifier run starting at the cursor.
     fn eat_ident(&mut self) {
-        while self
-            .peek(0)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
+        while let Some(c) = self
+            .peek_char(0)
+            .filter(|c| c.is_alphanumeric() || *c == '_')
         {
-            self.bump();
+            self.bump_n(c.len_utf8());
         }
     }
 
@@ -308,7 +321,7 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
                 cur.eat_number();
                 continue;
             }
-            _ if b.is_ascii_alphabetic() || b == b'_' => {
+            _ if cur.ident_start(0) => {
                 cur.eat_ident();
                 let ident = &cur.src[start_i..cur.i];
                 match cur.peek(0) {
@@ -335,11 +348,7 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
                             cur.eat_raw_string_body(hashes);
                             continue;
                         }
-                        if hashes == 1
-                            && cur
-                                .peek(1)
-                                .is_some_and(|c| c.is_ascii_alphabetic() || c == b'_')
-                        {
+                        if hashes == 1 && cur.ident_start(1) {
                             cur.bump();
                             cur.eat_ident();
                             emit(cur.i, cur.line, cur.col, TokKind::Ident)
@@ -376,8 +385,9 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
                 cur.bump();
                 emit(cur.i, cur.line, cur.col, TokKind::Dot)
             }
+            // Any other char, whole: a multi-byte one must not be split.
             _ => {
-                cur.bump();
+                cur.bump_n(cur.peek_char(0).map_or(1, char::len_utf8));
                 emit(cur.i, cur.line, cur.col, TokKind::Punct)
             }
         };
@@ -539,6 +549,19 @@ mod tests {
         // A shebang only counts at byte zero.
         let toks = lex("\n#!/bin/sh\n");
         assert!(toks.iter().any(|t| t.kind == TokKind::Bang));
+    }
+
+    #[test]
+    fn non_ascii_identifiers_lex_whole() {
+        assert_eq!(
+            idents(&lex("fn f() -> f64 { let ρ = 0.96; ρ }")),
+            ["fn", "f", "f64", "let", "ρ", "ρ"]
+        );
+        assert_eq!(idents(&lex("let r#ρ = x_µ;")), ["let", "r#ρ", "x_µ"]);
+        // A non-identifier char lexes as one whole punct token.
+        let toks = lex("a → b");
+        assert_eq!(toks[1].text, "→");
+        assert_eq!((toks[2].col, toks[2].text), (7, "b"));
     }
 
     #[test]

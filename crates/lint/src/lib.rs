@@ -15,19 +15,27 @@
 //! |--------|---------------|
 //! | [`lexer`] | the lightweight Rust lexer (tokens with exact spans) |
 //! | [`parser`] | the item parser (fn/impl/mod/use with token ranges) |
+//! | [`cfg`](mod@cfg) | per-function control-flow graphs over parsed bodies |
+//! | [`dataflow`] | the worklist fixpoint and the shared binding flow |
+//! | [`flow`] | the time-unit lattice and the time-arithmetic rule |
+//! | [`taint`] | the seed-provenance rule |
 //! | [`callgraph`] | the workspace call graph and what rides on it |
-//! | [`flow`] | the three-point time-unit lattice |
 //! | [`rules`] | the lexical hazard rules ([`rules::HAZARD_CODES`]) |
+//! | [`fix`] | the mechanical `--fix` rewrites |
 //! | this | directives, suppression accounting, the file walker |
 //!
-//! # Two passes
+//! # Three layers
 //!
-//! [`lint_sources`] scans a whole workspace: a lexical pass per file
-//! (the PR-6 rules, unchanged), then an interprocedural pass over the
-//! [`callgraph`] that propagates `hot` markers to reachable callees,
-//! checks time-unit flow at resolved call edges, and proves closures
-//! handed to the worker pool pure. [`lint_source`] is the same pipeline
-//! over a one-file workspace.
+//! [`lint_sources`] scans a whole workspace in three layers. A lexical
+//! pass runs the token-sequence rules per file. A dataflow layer builds
+//! one [`cfg`](mod@cfg) graph per non-test function, once, and runs the
+//! [`dataflow`] fixpoint over it: loop depths for `lint-loop-alloc`,
+//! binding kinds for `lint-unchecked-time-arith`, seed provenance for
+//! `lint-seed-taint`. An interprocedural pass over the [`callgraph`]
+//! propagates `hot` markers to reachable callees, checks time-unit flow
+//! at resolved call edges, proves closures handed to the worker pool
+//! pure, and tells the taint scan what each call resolves to.
+//! [`lint_source`] is the same pipeline over a one-file workspace.
 //!
 //! # Directives
 //!
@@ -76,6 +84,13 @@ use eua_analyze::{DiagCode, Diagnostic, Report, Span};
 
 use lexer::{lex, Tok, TokKind};
 pub use rules::{Finding, HotBody, HAZARD_CODES, INTERPROCEDURAL_CODES, LINT_CODES};
+
+/// The codes whose rules run on per-function control-flow graphs.
+const DATAFLOW_CODES: [DiagCode; 3] = [
+    DiagCode::LintLoopAlloc,
+    DiagCode::LintSeedTaint,
+    DiagCode::LintUncheckedTimeArith,
+];
 
 /// Whether a comment token is an `eua-lint:` directive (and therefore
 /// exempt from the banned-keyword comment scan).
@@ -241,20 +256,7 @@ fn hot_body_range(code: &[&Tok<'_>], after: Span) -> Result<(usize, usize), &'st
         }
     }
     let open_idx = open_idx.ok_or("the marked function has no body")?;
-    let mut depth = 0usize;
-    for (k, t) in code.iter().enumerate().skip(open_idx) {
-        match t.text {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok((open_idx + 1, k));
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok((open_idx + 1, code.len()))
+    Ok((open_idx + 1, parser::match_bracket(code, open_idx)))
 }
 
 /// One file's resolved directives, ready for both passes.
@@ -471,12 +473,26 @@ pub fn lint_sources(sources: &[(String, String)], selected: &BTreeSet<DiagCode>)
         .map(|fi| prep_file(&lexed[fi], &code[fi], &parsed[fi]))
         .collect();
 
+    // One graph per non-test function, shared by the loop-depth oracle,
+    // the time-arithmetic scan and the seed-taint scan.
+    let run_dataflow = DATAFLOW_CODES.iter().any(|c| on(*c));
+    let cfgs: Vec<Vec<Option<cfg::Cfg>>> = (0..sources.len())
+        .map(|fi| {
+            if run_dataflow {
+                cfg::Cfg::for_fns(&code[fi], &parsed[fi].fns)
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+
     let run_interp = INTERPROCEDURAL_CODES.iter().any(|c| on(*c));
     let analysis = if run_interp {
         let inputs: Vec<callgraph::FileInput<'_>> = (0..sources.len())
             .map(|fi| callgraph::FileInput {
                 code: &code[fi],
                 parsed: &parsed[fi],
+                cfgs: &cfgs[fi],
                 hot_marked: preps[fi].hot_items.clone(),
                 cold_marked: preps[fi].cold_items.clone(),
             })
@@ -505,22 +521,15 @@ pub fn lint_sources(sources: &[(String, String)], selected: &BTreeSet<DiagCode>)
     // Loop-depth oracle per file: each function's CFG stamps its body
     // tokens (functions come in source order, so a nested function
     // overwrites its parent's depths with its own). `#[cfg(test)]`
-    // functions stay depth 0 — test code is not held to allocation
-    // discipline, matching the call-graph table's exclusion.
+    // functions have no graph and stay depth 0.
     let depths: Vec<Vec<u32>> = if on(DiagCode::LintLoopAlloc) {
         (0..sources.len())
             .map(|fi| {
                 let mut d = vec![0u32; code[fi].len()];
-                for f in &parsed[fi].fns {
-                    if f.in_test_mod || f.body.0 >= f.body.1 || f.body.1 > code[fi].len() {
-                        continue;
-                    }
-                    let g = cfg::Cfg::build(&code[fi], f.body);
-                    for (i, depth) in g.depth_by_token(code[fi].len()).into_iter().enumerate() {
-                        if i >= f.body.0 && i < f.body.1 {
-                            d[i] = depth;
-                        }
-                    }
+                for (f, g) in parsed[fi].fns.iter().zip(&cfgs[fi]) {
+                    let Some(g) = g else { continue };
+                    let (lo, hi) = f.body;
+                    d[lo..hi].copy_from_slice(&g.depth_by_token(code[fi].len())[lo..hi]);
                 }
                 d
             })
@@ -534,7 +543,7 @@ pub fn lint_sources(sources: &[(String, String)], selected: &BTreeSet<DiagCode>)
         let mut findings =
             rules::run_hazards(&lexed[fi], &code[fi], &hot_bodies[fi], &depths[fi], &on);
         if on(DiagCode::LintUncheckedTimeArith) {
-            flow::unchecked_time_arith(&code[fi], &parsed[fi].fns, &mut findings);
+            flow::unchecked_time_arith(&code[fi], &parsed[fi].fns, &cfgs[fi], &mut findings);
         }
         let mut meta = preps[fi].meta.clone();
         for (f, finding) in analysis

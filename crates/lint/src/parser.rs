@@ -15,6 +15,7 @@
 use eua_analyze::Span;
 
 use crate::lexer::{Tok, TokKind};
+use crate::rules::span_of;
 
 /// One parsed parameter. The `self` receiver is recorded on the item
 /// ([`FnItem::has_self`]), not here.
@@ -141,7 +142,7 @@ fn skip_angles(code: &[&Tok<'_>], i: usize) -> usize {
 
 /// Index of the bracket that closes the opener at `open` (any of the
 /// three bracket kinds, tracked together), or `code.len()`.
-fn match_bracket(code: &[&Tok<'_>], open: usize) -> usize {
+pub(crate) fn match_bracket(code: &[&Tok<'_>], open: usize) -> usize {
     let mut depth = 0usize;
     for (j, t) in code.iter().enumerate().skip(open) {
         match t.kind {
@@ -441,16 +442,6 @@ pub fn parse_file(code: &[&Tok<'_>]) -> ParsedFile {
         impls,
         mods,
         uses,
-    }
-}
-
-/// The span of one token.
-fn span_of(t: &Tok<'_>) -> Span {
-    Span {
-        start_line: t.line,
-        start_col: t.col,
-        end_line: t.end_line,
-        end_col: t.end_col,
     }
 }
 

@@ -449,15 +449,16 @@ fn float_sort(code: &[&Tok<'_>], out: &mut Vec<Finding>) {
     }
 }
 
+/// The identifiers that name an ambient-entropy RNG source. `rand::random`
+/// is one too, matched as a path by each rule that uses this list.
+pub(crate) const ENTROPY_SOURCES: [&str; 3] = ["from_entropy", "thread_rng", "OsRng"];
+
 /// `lint-entropy-rng`: RNG construction seeded from ambient entropy.
 /// Every first-party stream is `seed_from_u64` with a salted per-seed
 /// scheme (see `FaultPlan::rng`), so sweeps replay bit-identically.
 fn entropy_rng(code: &[&Tok<'_>], out: &mut Vec<Finding>) {
     for i in 0..code.len() {
-        let hit = if code[i].is_ident("from_entropy")
-            || code[i].is_ident("thread_rng")
-            || code[i].is_ident("OsRng")
-        {
+        let hit = if ENTROPY_SOURCES.iter().any(|s| code[i].is_ident(s)) {
             Some((span_of(code[i]), code[i].text.to_string()))
         } else {
             match_path(code, i, &["rand", "random"])

@@ -32,16 +32,16 @@
 //! for zero noise on the workspace's real derivation idioms.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use eua_analyze::DiagCode;
 
 use crate::callgraph::FileInput;
-use crate::cfg::Cfg;
-use crate::dataflow::{self, Direction};
+use crate::dataflow::{visit_bindings, Bindings};
 use crate::flow::is_keyword;
 use crate::lexer::{Tok, TokKind};
-use crate::parser::FnItem;
-use crate::rules::{span_between, Finding};
+use crate::parser::{match_bracket, FnItem};
+use crate::rules::{span_between, Finding, ENTROPY_SOURCES};
 
 /// What the call graph resolved at one `(file, name-token)` call site.
 pub(crate) struct Callee {
@@ -67,7 +67,7 @@ enum Taint {
 }
 
 /// Per-binding taint; absent means [`Taint::Unknown`].
-type Env = BTreeMap<String, Taint>;
+type Env = crate::dataflow::Env<Taint>;
 
 /// Whether a name is seed-tagged by the workspace naming convention.
 fn seedish(name: &str) -> bool {
@@ -102,7 +102,7 @@ fn ingredient(
         return None;
     }
     match t.text {
-        "from_entropy" | "thread_rng" | "OsRng" => {
+        s if ENTROPY_SOURCES.contains(&s) => {
             return Some((Taint::Entropy, format!("`{}` is an entropy source", t.text)));
         }
         "random" if j > 0 && code[j - 1].kind == TokKind::PathSep => {
@@ -190,7 +190,7 @@ fn ingredient(
 fn combine(
     code: &[&Tok<'_>],
     fi: usize,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     env: &Env,
     oracle: &CallOracle,
 ) -> (Taint, Vec<String>) {
@@ -233,135 +233,46 @@ fn combine(
     }
 }
 
-/// Applies the binding effect of a `let` or statement-initial
-/// reassignment starting at code token `j`, if any. Mirrors the
-/// time-arithmetic walker: a `{` before the `;` means the initializer
-/// spans control flow and the binding degrades to unknown.
-fn stmt_effect(code: &[&Tok<'_>], fi: usize, j: usize, env: &mut Env, oracle: &CallOracle) {
-    let limit = (j + 96).min(code.len());
-    let find_semi = |from: usize| -> Option<usize> {
-        for (k, t) in code.iter().enumerate().take(limit).skip(from) {
-            if t.kind == TokKind::Punct && t.text == ";" {
-                return Some(k);
-            }
-            if t.kind == TokKind::Open && t.text == "{" {
-                return None;
-            }
-        }
-        None
-    };
-    let bind = |env: &mut Env, name: String, taint: Option<Taint>| match taint {
-        Some(Taint::Unknown) | None => {
-            env.remove(&name);
-        }
-        Some(t) => {
-            env.insert(name, t);
-        }
-    };
-    if code[j].is_ident("let") {
-        let mut at = j + 1;
-        if code.get(at).is_some_and(|t| t.is_ident("mut")) {
-            at += 1;
-        }
-        let Some(name_tok) = code.get(at).filter(|t| t.kind == TokKind::Ident) else {
-            return; // destructuring pattern: nothing single to track
-        };
-        let eq = (at + 1..limit).find(|&k| {
-            let t = code[k];
-            t.kind == TokKind::Punct && t.text == "="
-        });
-        let taint = eq.and_then(|e| {
-            let semi = find_semi(e + 1)?;
-            Some(combine(code, fi, e + 1..semi, env, oracle).0)
-        });
-        bind(env, name_tok.text.to_string(), taint);
-    } else if code[j].kind == TokKind::Ident
-        && j > 0
-        && matches!(
-            (code[j - 1].kind, code[j - 1].text),
-            (TokKind::Punct, ";") | (TokKind::Open, "{") | (TokKind::Close, "}")
-        )
-        && code
-            .get(j + 1)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text == "=")
-        && !code
-            .get(j + 2)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text == "=")
-    {
-        let taint = find_semi(j + 2).map(|semi| combine(code, fi, j + 2..semi, env, oracle).0);
-        bind(env, code[j].text.to_string(), taint);
-    }
+/// `Unknown` is absence: an environment never stores it, so equal
+/// facts compare equal.
+fn known(t: Taint) -> Option<Taint> {
+    (t != Taint::Unknown).then_some(t)
 }
 
-/// The forward taint analysis over one function body. `None` is the
-/// unreachable bottom; maps join pointwise with absence read as
-/// unknown (and unknown entries normalized away, so equal facts
-/// compare equal).
-struct TaintFlow<'a> {
-    code: &'a [&'a Tok<'a>],
+/// The provenance lattice for one file's functions: seed-tagged
+/// parameters enter as [`Taint::Seed`], a binding takes the [`combine`]
+/// verdict of its initializer, and paths join by `max`.
+struct Provenance<'a> {
     fi: usize,
     oracle: &'a CallOracle,
-    boundary: Env,
 }
 
-impl dataflow::Analysis for TaintFlow<'_> {
-    type Fact = Option<Env>;
+impl Bindings for Provenance<'_> {
+    type V = Taint;
 
-    fn direction(&self) -> Direction {
-        Direction::Forward
+    fn params(&self, f: &FnItem) -> Env {
+        f.params
+            .iter()
+            .filter_map(|p| p.name.clone())
+            .filter(|name| seedish(name))
+            .map(|name| (name, Taint::Seed))
+            .collect()
     }
 
-    fn boundary(&self) -> Self::Fact {
-        Some(self.boundary.clone())
+    fn bind(
+        &self,
+        code: &[&Tok<'_>],
+        _name: &str,
+        _tys: &[String],
+        init: Option<Range<usize>>,
+        env: &Env,
+    ) -> Option<Taint> {
+        known(combine(code, self.fi, init?, env, self.oracle).0)
     }
 
-    fn bottom(&self) -> Self::Fact {
-        None
+    fn join(&self, a: Option<Taint>, b: Option<Taint>) -> Option<Taint> {
+        known(a.unwrap_or(Taint::Unknown).max(b.unwrap_or(Taint::Unknown)))
     }
-
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        match (a, b) {
-            (None, x) | (x, None) => x.clone(),
-            (Some(a), Some(b)) => Some(
-                a.iter()
-                    .chain(b.iter())
-                    .map(|(k, _)| {
-                        let join = (*a.get(k).unwrap_or(&Taint::Unknown))
-                            .max(*b.get(k).unwrap_or(&Taint::Unknown));
-                        (k.clone(), join)
-                    })
-                    .filter(|(_, v)| *v != Taint::Unknown)
-                    .collect(),
-            ),
-        }
-    }
-
-    fn transfer(&self, cfg: &Cfg, block: usize, fact: &Self::Fact) -> Self::Fact {
-        let env0 = fact.as_ref()?;
-        let mut env = env0.clone();
-        for &j in &cfg.blocks[block].tokens {
-            stmt_effect(self.code, self.fi, j, &mut env, self.oracle);
-        }
-        Some(env)
-    }
-}
-
-/// Index of the bracket closing the opener at `open`, or `code.len()`.
-fn close_of(code: &[&Tok<'_>], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in code.iter().enumerate().skip(open) {
-        match t.kind {
-            TokKind::Open => depth += 1,
-            TokKind::Close => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    code.len()
 }
 
 /// Whether code token `j` is a `seed_from_u64(` construction site
@@ -375,12 +286,12 @@ fn site_at(code: &[&Tok<'_>], j: usize) -> bool {
             .is_some_and(|n| n.kind == TokKind::Open && n.text == "(")
 }
 
-/// Scans every listed function for `seed_from_u64` sites and judges
-/// each argument expression. Returns the findings (tagged by file)
-/// plus `(sites seen, sites proven)` for the graph statistics.
+/// Scans every function with a graph in its file's `cfgs` for
+/// `seed_from_u64` sites and judges each argument expression. Returns
+/// the findings (tagged by file) plus `(sites seen, sites proven)` for
+/// the graph statistics.
 pub(crate) fn scan(
     files: &[FileInput<'_>],
-    fns: &[(usize, &FnItem)],
     oracle: &CallOracle,
 ) -> (Vec<(usize, Finding)>, usize, usize) {
     let mut out = Vec::new();
@@ -388,87 +299,42 @@ pub(crate) fn scan(
     let mut proven = 0usize;
     for (fi, file) in files.iter().enumerate() {
         let code = file.code;
-        if !code.iter().any(|t| t.is_ident("seed_from_u64")) {
-            continue;
-        }
-        let in_file: Vec<&FnItem> = fns
-            .iter()
-            .filter(|(f, _)| *f == fi)
-            .map(|(_, item)| *item)
-            .collect();
-        // Innermost owner per token, so a nested function's sites are
-        // judged under its own environment.
-        let mut owner = vec![usize::MAX; code.len()];
-        for (k, f) in in_file.iter().enumerate() {
-            if f.body.0 <= f.body.1 && f.body.1 <= code.len() {
-                for slot in &mut owner[f.body.0..f.body.1] {
-                    *slot = k;
-                }
+        let lattice = Provenance { fi, oracle };
+        let has_site = |f: &FnItem| (f.body.0..f.body.1).any(|j| site_at(code, j));
+        let judge = |j: usize, env: &Env| {
+            if !site_at(code, j) {
+                return;
             }
-        }
-        // One scratch environment reused across every block of every
-        // function — `clone_from` keeps the map's storage instead of
-        // allocating a fresh copy per block.
-        let mut env = Env::new();
-        for (k, f) in in_file.iter().enumerate() {
-            let (lo, hi) = (f.body.0, f.body.1.min(code.len()));
-            if lo >= hi || !(lo..hi).any(|j| site_at(code, j)) {
-                continue;
+            let close = match_bracket(code, j + 1);
+            let (taint, notes) = combine(code, fi, j + 2..close, env, oracle);
+            sites += 1;
+            if taint == Taint::Seed {
+                proven += 1;
+                return;
             }
-            let mut boundary = Env::new();
-            for p in &f.params {
-                if let Some(name) = &p.name {
-                    if seedish(name) {
-                        boundary.insert(name.clone(), Taint::Seed);
-                    }
-                }
-            }
-            let flow = TaintFlow {
-                code,
-                fi,
-                oracle,
-                boundary,
+            let joined = notes.join("; ");
+            let why: &str = if joined.is_empty() {
+                "the expression has no seed-tagged ingredient"
+            } else {
+                &joined
             };
-            let cfg = Cfg::build(code, f.body);
-            let facts = dataflow::solve(&cfg, &flow);
-            for (b, fact) in facts.iter().enumerate() {
-                let Some(env0) = fact else { continue };
-                env.clone_from(env0);
-                for &j in &cfg.blocks[b].tokens {
-                    if owner.get(j) == Some(&k) && site_at(code, j) {
-                        let close = close_of(code, j + 1);
-                        let (taint, notes) = combine(code, fi, j + 2..close, &env, oracle);
-                        sites += 1;
-                        if taint == Taint::Seed {
-                            proven += 1;
-                        } else {
-                            let joined = notes.join("; ");
-                            let why: &str = if joined.is_empty() {
-                                "the expression has no seed-tagged ingredient"
-                            } else {
-                                &joined
-                            };
-                            let end = code.get(close).copied().unwrap_or(code[j]);
-                            out.push((
-                                fi,
-                                Finding {
-                                    code: DiagCode::LintSeedTaint,
-                                    span: span_between(code[j], end),
-                                    entity: "seed_from_u64".into(),
-                                    message: format!(
-                                        "RNG seed not provably derived from a master seed: \
-                                         {why}; thread the master seed (or a salted \
-                                         derivation of it) to this site so every stream \
-                                         replays bit-identically"
-                                    ),
-                                },
-                            ));
-                        }
-                    }
-                    stmt_effect(code, fi, j, &mut env, oracle);
-                }
-            }
-        }
+            let end = code.get(close).copied().unwrap_or(code[j]);
+            out.push((
+                fi,
+                Finding {
+                    code: DiagCode::LintSeedTaint,
+                    span: span_between(code[j], end),
+                    entity: "seed_from_u64".into(),
+                    message: format!(
+                        "RNG seed not provably derived from a master seed: \
+                         {why}; thread the master seed (or a salted \
+                         derivation of it) to this site so every stream \
+                         replays bit-identically"
+                    ),
+                },
+            ));
+        };
+        visit_bindings(code, &file.parsed.fns, file.cfgs, &lattice, has_site, judge);
     }
     (out, sites, proven)
 }
@@ -477,6 +343,7 @@ pub(crate) fn scan(
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::cfg::Cfg;
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
@@ -491,21 +358,15 @@ mod tests {
             .filter(|t| !matches!(t.kind, TokKind::Comment { .. }))
             .collect();
         let parsed = parse_file(&code);
+        let cfgs = Cfg::for_fns(&code, &parsed.fns);
         let files = [FileInput {
             code: &code,
             parsed: &parsed,
+            cfgs: &cfgs,
             hot_marked: Vec::new(),
             cold_marked: Vec::new(),
         }];
-        // Mirror `Table::build`: test-module items never enter the
-        // call graph, so they never reach the taint scan either.
-        let fns: Vec<(usize, &FnItem)> = parsed
-            .fns
-            .iter()
-            .filter(|f| !f.in_test_mod)
-            .map(|f| (0usize, f))
-            .collect();
-        let (tagged, sites, proven) = scan(&files, &fns, oracle);
+        let (tagged, sites, proven) = scan(&files, oracle);
         (tagged.into_iter().map(|(_, f)| f).collect(), sites, proven)
     }
 
@@ -588,6 +449,30 @@ mod tests {
         let (hits, sites, proven) = run(src);
         assert_eq!((sites, proven), (1, 0), "{hits:?}");
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn let_without_initializer_ends_at_its_own_semicolon() {
+        // `let x;` binds nothing: the `=` of the later `=>` is not its
+        // initializer, so the `seed` read after the `match` cannot prove
+        // `x`. Where the unrelated `let _s = seed;` sits must not matter.
+        for src in [
+            "fn mk(seed: u64, opt: Option<u64>) -> SmallRng {\n\
+             let x; match opt { Some(v) => x = v, None => x = 7 }\n\
+             let _s = seed;\n\
+             SmallRng::seed_from_u64(x)\n\
+             }",
+            "fn mk(seed: u64, opt: Option<u64>) -> SmallRng {\n\
+             let _s = seed;\n\
+             let x; match opt { Some(v) => x = v, None => x = 7 }\n\
+             SmallRng::seed_from_u64(x)\n\
+             }",
+        ] {
+            let (hits, sites, proven) = run(src);
+            assert_eq!((sites, proven), (1, 0), "{src}");
+            assert_eq!(hits.len(), 1, "{hits:?}");
+            assert_eq!(hits[0].code, DiagCode::LintSeedTaint);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 //! Binary-level contract tests for `eua-lint`: the strict 2>1>0 exit
 //! ordering, format selection, `--only` narrowing, the `codes` listing,
-//! and a golden SARIF pin for one fixture.
+//! and golden SARIF pins for fixture sets and the whole fixture corpus.
 //!
 //! Regenerate the golden file with:
 //!
@@ -25,6 +25,29 @@ fn eua_lint(args: &[&str]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
+}
+
+/// Byte-compares `rendered` with `tests/golden/<name>` and returns the
+/// pinned text; under `EUA_REGEN_GOLDEN=1` rewrites the file instead.
+fn golden(name: &str, rendered: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var("EUA_REGEN_GOLDEN").is_ok() {
+        std::fs::write(&path, rendered).expect("golden written");
+        return rendered.to_string();
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {}: {e} (regenerate with EUA_REGEN_GOLDEN=1)",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rendered, golden,
+        "{name} drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
+    );
+    golden
 }
 
 #[test]
@@ -143,21 +166,7 @@ fn wall_clock_sarif_is_golden() {
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
     let rendered = stdout(&out);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wall_clock.sarif");
-    if std::env::var("EUA_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &rendered).expect("golden written");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e} (regenerate with EUA_REGEN_GOLDEN=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, golden,
-        "SARIF drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
-    );
+    let golden = golden("wall_clock.sarif", &rendered);
     // The pinned document names the right driver and both findings.
     assert!(golden.contains("\"name\": \"eua-lint\""));
     assert_eq!(golden.matches("\"ruleId\": \"lint-wall-clock\"").count(), 2);
@@ -282,21 +291,7 @@ fn dataflow_fixtures_sarif_is_golden() {
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
     let rendered = stdout(&out);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/dataflow.sarif");
-    if std::env::var("EUA_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &rendered).expect("golden written");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e} (regenerate with EUA_REGEN_GOLDEN=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, golden,
-        "SARIF drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
-    );
+    let golden = golden("dataflow.sarif", &rendered);
     for rule in [
         "lint-loop-alloc",
         "lint-seed-taint",
@@ -329,21 +324,7 @@ fn interprocedural_fixtures_sarif_is_golden() {
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
     let rendered = stdout(&out);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interproc.sarif");
-    if std::env::var("EUA_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &rendered).expect("golden written");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e} (regenerate with EUA_REGEN_GOLDEN=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, golden,
-        "SARIF drifted; regenerate with EUA_REGEN_GOLDEN=1 if deliberate"
-    );
+    let golden = golden("interproc.sarif", &rendered);
     for rule in [
         "lint-hot-path-blocking",
         "lint-unit-flow-mismatch",
@@ -354,6 +335,24 @@ fn interprocedural_fixtures_sarif_is_golden() {
             golden.matches(&format!("\"ruleId\": \"{rule}\"")).count(),
             1,
             "{rule}"
+        );
+    }
+}
+
+/// The whole fixture corpus — every rule fixture plus the lexer, CFG
+/// and fix corpora — scanned as one workspace and byte-pinned, so a
+/// change to any finding, span or message anywhere in it shows up
+/// here, not only in the subsets the goldens above pin.
+#[test]
+fn fixture_corpus_sarif_is_golden() {
+    let out = eua_lint(&["check", "--format", "sarif", "--check", "tests/fixtures"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let golden = golden("fixtures.sarif", &stdout(&out));
+    for code in LINT_CODES {
+        assert!(
+            golden.contains(&format!("\"ruleId\": \"{}\"", code.as_str())),
+            "{} has no finding in the corpus",
+            code.as_str()
         );
     }
 }

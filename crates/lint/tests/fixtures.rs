@@ -80,9 +80,9 @@ fn fixture_corpus_is_exactly_one_file_per_code() {
 }
 
 /// The lexer edge-case corpus: raw strings with hashes, nested block
-/// comments, raw identifiers, and a shebang line. Each file hides
-/// hazard names inside non-code contexts, so each must lint fully
-/// clean AND leak none of those names into the code token stream.
+/// comments, raw and non-ASCII identifiers, and a shebang line. Each
+/// file hides hazard names inside non-code contexts, so each must lint
+/// fully clean AND leak none of those names into the code token stream.
 #[test]
 fn lexer_edge_fixtures_produce_no_spurious_tokens() {
     use eua_lint::lexer::{lex, TokKind};
@@ -97,6 +97,7 @@ fn lexer_edge_fixtures_produce_no_spurious_tokens() {
         names,
         [
             "nested_comments.rs",
+            "non_ascii.rs",
             "raw_idents.rs",
             "raw_strings.rs",
             "shebang.rs"
@@ -124,6 +125,15 @@ fn lexer_edge_fixtures_produce_no_spurious_tokens() {
             "shebang.rs" => {
                 let first = toks.first().expect("tokens after shebang");
                 assert!(first.line >= 2, "shebang line must produce no tokens");
+            }
+            "non_ascii.rs" => {
+                for ident in ["ρ", "r#σ", "größe"] {
+                    assert!(
+                        toks.iter()
+                            .any(|t| t.kind == TokKind::Ident && t.text == ident),
+                        "non-ASCII identifier `{ident}` must lex as one token"
+                    );
+                }
             }
             "raw_idents.rs" => {
                 assert!(
