@@ -207,6 +207,29 @@ fi
 step "bench smoke under --jobs 2"
 cargo run -q -p eua-bench --bin fig2 -- --quick --energy e1 --jobs 2 >/dev/null
 
+step "figure results gate (--jobs 2, cmp against results/)"
+# Reruns the figure binaries at their standard configs and byte-compares
+# every CSV and SVG with the committed results/, so a change that moves
+# a Figure 2/3 series (or an ablation/budget table) fails here until
+# results/ is regenerated with it (EXPERIMENTS.md has the commands).
+# The outputs do not depend on --jobs or on the build profile.
+rm -rf target/ci-results
+cargo run -q -p eua-bench --bin fig2 -- \
+  --energy e1 --energy e2 --energy e3 --csv-dir target/ci-results --jobs 2 >/dev/null
+for bin in fig3 ablation budget; do
+  cargo run -q -p eua-bench --bin "${bin}" -- \
+    --csv-dir target/ci-results --jobs 2 >/dev/null
+done
+for produced in target/ci-results/*; do
+  cmp "${produced}" "results/$(basename "${produced}")"
+done
+for committed in results/*.csv results/*.svg; do
+  if [[ ! -e "target/ci-results/$(basename "${committed}")" ]]; then
+    echo "error: ${committed} is committed but no figure binary writes it" >&2
+    exit 1
+  fi
+done
+
 step "simulator_throughput bench smoke"
 # Reduced samples, no 256-job level: proves the end-to-end and backlog
 # throughput benches (the BENCH_engine.json harness) build and run.
@@ -216,8 +239,10 @@ EUA_BENCH_SMOKE=1 cargo bench -q -p eua-bench \
 step "overload fallback bench guard (ignored timing test, scaling shape)"
 # Pins the schedule builder's O(n²) overload fallback to at-worst
 # quadratic-ish scaling from 64 to 256 candidates (generous 4x headroom
-# for noise). The Fenwick-position upgrade sketched at the slow-path
-# comment in crates/core/src/candidates.rs should beat this baseline.
+# for noise). The position-indexed O(n log n) upgrade sketched at the
+# slow-path comment in crates/core/src/candidates.rs (a Fenwick prefix
+# sum for finish times plus a lazy range-add/range-min segment tree for
+# slack, not two Fenwick trees) should beat this baseline.
 cargo test -q -p eua-bench --test overload_guard -- --ignored
 
 step "robustness sweep smoke (--jobs 2, byte round-trip, audited)"

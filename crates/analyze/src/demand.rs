@@ -180,7 +180,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::ir::lower;
-    use crate::scenario::{DemandSpec, EnergySpec, ScenarioSpec, TaskSpec, TufSpec};
+    use crate::scenario::{DemandSpec, EnergySpec, ScenarioSpec, TaskSpec};
+    use eua_platform::TimeDelta;
+    use eua_sim::TufDecl;
 
     fn scenario(cycles: f64, window_us: u64, arrivals: f64, freqs: Vec<u64>) -> ScenarioSpec {
         ScenarioSpec {
@@ -189,10 +191,10 @@ mod tests {
             energy: EnergySpec::e1(),
             tasks: vec![TaskSpec {
                 name: "t".into(),
-                tuf: TufSpec::Step {
+                tuf: TufDecl::Step {
                     umax: 10.0,
-                    step_at_us: window_us,
-                    termination_us: window_us,
+                    step_at: TimeDelta::from_micros(window_us),
+                    termination: TimeDelta::from_micros(window_us),
                 },
                 max_arrivals: arrivals,
                 window_us,
@@ -266,10 +268,10 @@ mod tests {
         let mut s = scenario(981.0, 99, 1.0, vec![10]);
         s.tasks.push(TaskSpec {
             name: "tiny".into(),
-            tuf: TufSpec::Step {
+            tuf: TufDecl::Step {
                 umax: 1.0,
-                step_at_us: 99,
-                termination_us: 99,
+                step_at: TimeDelta::from_micros(99),
+                termination: TimeDelta::from_micros(99),
             },
             max_arrivals: 1.0,
             window_us: 99,

@@ -127,7 +127,8 @@ mod tests {
     use super::*;
     use crate::demand::frequency_verdicts;
     use crate::ir::lower;
-    use crate::scenario::{DemandSpec, EnergySpec, ScenarioSpec, TaskSpec, TufSpec};
+    use crate::scenario::{DemandSpec, EnergySpec, ScenarioSpec, TaskSpec};
+    use eua_sim::TufDecl;
 
     fn scenario(energy: EnergySpec, freqs: Vec<u64>) -> ScenarioSpec {
         ScenarioSpec {
@@ -136,10 +137,10 @@ mod tests {
             energy,
             tasks: vec![TaskSpec {
                 name: "t".into(),
-                tuf: TufSpec::Step {
+                tuf: TufDecl::Step {
                     umax: 10.0,
-                    step_at_us: 10_000,
-                    termination_us: 10_000,
+                    step_at: TimeDelta::from_micros(10_000),
+                    termination: TimeDelta::from_micros(10_000),
                 },
                 max_arrivals: 1.0,
                 window_us: 10_000,

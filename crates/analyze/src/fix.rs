@@ -22,7 +22,8 @@
 //! bounds) have no mechanical rewrite and stay diagnostics-only.
 
 use crate::diagnostic::DiagCode;
-use crate::scenario::{ScenarioSpec, TufSpec};
+use crate::scenario::ScenarioSpec;
+use eua_sim::TufDecl;
 
 /// Relative tolerance for the declared-allocation cross-check (shared
 /// with the Chebyshev pass).
@@ -123,7 +124,7 @@ fn fix_assurances(spec: &mut ScenarioSpec, i: usize, applied: &mut Vec<AppliedFi
 
 fn fix_piecewise_tuf(spec: &mut ScenarioSpec, i: usize, applied: &mut Vec<AppliedFix>) {
     let entity = format!("task `{}`", spec.tasks[i].name);
-    let TufSpec::Piecewise { points } = &mut spec.tasks[i].tuf else {
+    let TufDecl::Piecewise { points } = &mut spec.tasks[i].tuf else {
         return;
     };
     if points.len() < 2 {
@@ -216,6 +217,11 @@ mod tests {
     use super::*;
     use crate::passes::analyze;
     use crate::scenario::{DemandSpec, EnergySpec, TaskSpec};
+    use eua_platform::TimeDelta;
+
+    fn us(micros: u64) -> TimeDelta {
+        TimeDelta::from_micros(micros)
+    }
 
     fn broken_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -224,8 +230,8 @@ mod tests {
             energy: EnergySpec::e1(),
             tasks: vec![TaskSpec {
                 name: "t".into(),
-                tuf: TufSpec::Piecewise {
-                    points: vec![(20_000, 4.0), (0, 10.0), (10_000, 10.0)],
+                tuf: TufDecl::Piecewise {
+                    points: vec![(us(20_000), 4.0), (us(0), 10.0), (us(10_000), 10.0)],
                 },
                 max_arrivals: 2.5,
                 window_us: 20_000,
@@ -297,12 +303,12 @@ mod tests {
     #[test]
     fn increasing_piecewise_utilities_are_clamped() {
         let mut spec = broken_spec();
-        spec.tasks[0].tuf = TufSpec::Piecewise {
-            points: vec![(0, 5.0), (10_000, 8.0), (20_000, 3.0)],
+        spec.tasks[0].tuf = TufDecl::Piecewise {
+            points: vec![(us(0), 5.0), (us(10_000), 8.0), (us(20_000), 3.0)],
         };
         let applied = apply_fixes(&mut spec);
         assert!(applied.iter().any(|f| f.code == DiagCode::TufIncreasing));
-        let TufSpec::Piecewise { points } = &spec.tasks[0].tuf else {
+        let TufDecl::Piecewise { points } = &spec.tasks[0].tuf else {
             panic!("still piecewise");
         };
         assert_eq!(points[1].1, 5.0, "clamped to the running minimum");

@@ -191,7 +191,9 @@ pub fn quantized_exec_us(cycles: u64, mhz: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{DemandSpec, EnergySpec, TaskSpec, TufSpec};
+    use crate::scenario::{DemandSpec, EnergySpec, TaskSpec};
+    use eua_platform::TimeDelta;
+    use eua_sim::TufDecl;
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -200,10 +202,10 @@ mod tests {
             energy: EnergySpec::e3(),
             tasks: vec![TaskSpec {
                 name: "t".into(),
-                tuf: TufSpec::Step {
+                tuf: TufDecl::Step {
                     umax: 10.0,
-                    step_at_us: 10_000,
-                    termination_us: 10_000,
+                    step_at: TimeDelta::from_micros(10_000),
+                    termination: TimeDelta::from_micros(10_000),
                 },
                 max_arrivals: 2.0,
                 window_us: 10_000,

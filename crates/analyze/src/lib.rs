@@ -77,7 +77,5 @@ pub use sarif::{
     render_sarif, render_sarif_with_regions, render_sarif_with_spans, sarif_self_check,
     validate_sarif,
 };
-pub use scenario::{
-    DemandSpec, EnergySpec, FaultSpec, ParseError, ScenarioSpec, TaskSpec, TufSpec,
-};
+pub use scenario::{DemandSpec, EnergySpec, ParseError, ScenarioSpec, TaskSpec};
 pub use spans::{SourceMap, Span};

@@ -9,10 +9,10 @@
 
 use crate::demand::Verdict;
 use crate::diagnostic::{DiagCode, Diagnostic, Report, Severity};
-use crate::scenario::{DemandSpec, ScenarioSpec, TaskSpec, TufSpec};
+use crate::scenario::{DemandSpec, ScenarioSpec, TaskSpec};
 use eua_core::{brh_schedulable, sufficient_speed, theorem1_speed};
-use eua_platform::Frequency;
-use eua_sim::TaskSet;
+use eua_platform::{Frequency, TimeDelta};
+use eua_sim::{TaskSet, TufDecl};
 
 /// Relative slop for float comparisons against `f_m`.
 const EPS: f64 = 1e-9;
@@ -133,11 +133,9 @@ impl TufShapePass {
         let name = &task.name;
         let mut sound = true;
         match &task.tuf {
-            TufSpec::Step {
-                umax, step_at_us, ..
-            } => {
+            TufDecl::Step { umax, step_at, .. } => {
                 sound &= check_umax(name, *umax, out);
-                if *step_at_us == 0 {
+                if step_at.is_zero() {
                     sound = false;
                     out.push(Diagnostic::for_entity(
                         DiagCode::TufZeroTermination,
@@ -146,12 +144,9 @@ impl TufShapePass {
                     ));
                 }
             }
-            TufSpec::Linear {
-                umax,
-                termination_us,
-            } => {
+            TufDecl::Linear { umax, termination } => {
                 sound &= check_umax(name, *umax, out);
-                if *termination_us == 0 {
+                if termination.is_zero() {
                     sound = false;
                     out.push(Diagnostic::for_entity(
                         DiagCode::TufZeroTermination,
@@ -160,13 +155,13 @@ impl TufShapePass {
                     ));
                 }
             }
-            TufSpec::Exponential {
+            TufDecl::Exponential {
                 umax,
-                tau_us,
-                termination_us,
+                tau,
+                termination,
             } => {
                 sound &= check_umax(name, *umax, out);
-                if *tau_us == 0 {
+                if tau.is_zero() {
                     sound = false;
                     out.push(Diagnostic::for_entity(
                         DiagCode::TufZeroTermination,
@@ -174,7 +169,7 @@ impl TufShapePass {
                         "exponential TUF has a zero decay constant τ",
                     ));
                 }
-                if *termination_us == 0 {
+                if termination.is_zero() {
                     sound = false;
                     out.push(Diagnostic::for_entity(
                         DiagCode::TufZeroTermination,
@@ -183,14 +178,14 @@ impl TufShapePass {
                     ));
                 }
             }
-            TufSpec::Piecewise { points } => {
+            TufDecl::Piecewise { points } => {
                 sound &= Self::check_piecewise(name, points, out);
             }
         }
         sound
     }
 
-    fn check_piecewise(name: &str, points: &[(u64, f64)], out: &mut Vec<Diagnostic>) -> bool {
+    fn check_piecewise(name: &str, points: &[(TimeDelta, f64)], out: &mut Vec<Diagnostic>) -> bool {
         if points.is_empty() {
             out.push(Diagnostic::for_entity(
                 DiagCode::TufZeroTermination,
@@ -202,12 +197,15 @@ impl TufShapePass {
         let mut sound = true;
         for window in points.windows(2) {
             let ((t0, u0), (t1, u1)) = (window[0], window[1]);
+            let (t0_us, t1_us) = (t0.as_micros(), t1.as_micros());
             if t1 <= t0 {
                 sound = false;
                 out.push(Diagnostic::for_entity(
                     DiagCode::TufUnorderedBreakpoints,
                     name,
-                    format!("breakpoint times are not strictly increasing ({t0} µs then {t1} µs)"),
+                    format!(
+                        "breakpoint times are not strictly increasing ({t0_us} µs then {t1_us} µs)"
+                    ),
                 ));
             }
             if u1 > u0 + EPS {
@@ -216,7 +214,10 @@ impl TufShapePass {
                     Diagnostic::for_entity(
                         DiagCode::TufIncreasing,
                         name,
-                        format!("utility rises from {u0} to {u1} at {t1} µs; TUFs must be non-increasing"),
+                        format!(
+                            "utility rises from {u0} to {u1} at {t1_us} µs; TUFs must be \
+                             non-increasing"
+                        ),
                     )
                     .with_suggestion("reorder the breakpoints or lower the later utility"),
                 );
@@ -228,7 +229,10 @@ impl TufShapePass {
                 out.push(Diagnostic::for_entity(
                     DiagCode::TufNegativeUtility,
                     name,
-                    format!("utility {u} at {t} µs is negative or non-finite"),
+                    format!(
+                        "utility {u} at {} µs is negative or non-finite",
+                        t.as_micros()
+                    ),
                 ));
             }
         }
@@ -845,8 +849,8 @@ impl Pass for FaultPass {
             return;
         };
         for (what, value) in [
-            ("demand-deviation factor", faults.demand_mean_factor),
-            ("demand-deviation spread", faults.demand_spread),
+            ("demand-deviation factor", faults.demand.mean_factor),
+            ("demand-deviation spread", faults.demand.spread),
         ] {
             if !value.is_finite() || value < 0.0 {
                 out.push(
@@ -858,7 +862,8 @@ impl Pass for FaultPass {
                 );
             }
         }
-        if faults.switch_latency_cycles > 0 {
+        let latency = faults.dvs.switch_latency_cycles;
+        if latency > 0 {
             if let (Some(f_max), Some(min_window)) = (
                 scenario.f_max_mhz(),
                 scenario
@@ -870,15 +875,15 @@ impl Pass for FaultPass {
             ) {
                 // MHz is cycles per µs, so latency/f_max is the relock
                 // time in µs even at the fastest frequency.
-                let latency_us = faults.switch_latency_cycles as f64 / f_max as f64;
+                let latency_us = latency as f64 / f_max as f64;
                 if latency_us >= min_window as f64 {
                     out.push(
                         Diagnostic::new(
                             DiagCode::FaultSwitchLatencyExceedsWindow,
                             format!(
-                                "switch latency of {} cycles takes {latency_us:.0} µs at f_m = \
-                                 {f_max} MHz, at least the shortest UAM window ({min_window} µs)",
-                                faults.switch_latency_cycles
+                                "switch latency of {latency} cycles takes {latency_us:.0} µs at \
+                                 f_m = {f_max} MHz, at least the shortest UAM window \
+                                 ({min_window} µs)"
                             ),
                         )
                         .with_suggestion(
@@ -889,7 +894,7 @@ impl Pass for FaultPass {
                 }
             }
         }
-        if let Some(set) = &faults.degraded_mhz {
+        if let Some(set) = &faults.dvs.degraded_mhz {
             let survives = set.iter().any(|f| scenario.frequencies_mhz.contains(f));
             if set.is_empty() {
                 out.push(
@@ -1019,14 +1024,15 @@ impl Pass for SemanticPass {
 mod tests {
     use super::*;
     use crate::scenario::EnergySpec;
+    use eua_sim::FaultPlan;
 
     fn valid_task(name: &str) -> TaskSpec {
         TaskSpec {
             name: name.into(),
-            tuf: TufSpec::Step {
+            tuf: TufDecl::Step {
                 umax: 10.0,
-                step_at_us: 10_000,
-                termination_us: 10_000,
+                step_at: TimeDelta::from_micros(10_000),
+                termination: TimeDelta::from_micros(10_000),
             },
             max_arrivals: 2.0,
             window_us: 10_000,
@@ -1068,18 +1074,18 @@ mod tests {
     }
 
     #[test]
-    fn benign_fault_stanza_passes_clean() {
+    fn benign_faults_stanza_passes_clean() {
         let mut s = valid_scenario();
-        s.faults = Some(crate::scenario::FaultSpec {
-            demand_mean_factor: 1.5,
-            demand_spread: 0.2,
-            switch_latency_cycles: 20_000,
-            degraded_mhz: Some(vec![36, 55]),
-            burst_extra: 2,
-            burst_every: 1,
-            abort_cost_us: 300,
-            arrival_jitter_us: 2_000,
-        });
+        let mut plan = FaultPlan::none();
+        plan.demand.mean_factor = 1.5;
+        plan.demand.spread = 0.2;
+        plan.dvs.switch_latency_cycles = 20_000;
+        plan.dvs.degraded_mhz = Some(vec![36, 55]);
+        plan.uam.extra_per_window = 2;
+        plan.uam.every_n_windows = 1;
+        plan.timing.abort_cost = TimeDelta::from_micros(300);
+        plan.timing.arrival_jitter = TimeDelta::from_micros(2_000);
+        s.faults = Some(plan);
         let report = analyze(&s);
         assert!(!report.has_errors(), "{}", report.render_text());
     }
@@ -1087,10 +1093,9 @@ mod tests {
     #[test]
     fn negative_deviation_factor_flagged() {
         let mut s = valid_scenario();
-        s.faults = Some(crate::scenario::FaultSpec {
-            demand_mean_factor: -0.5,
-            ..Default::default()
-        });
+        let mut plan = FaultPlan::none();
+        plan.demand.mean_factor = -0.5;
+        s.faults = Some(plan);
         let report = analyze(&s);
         assert!(report.codes().contains("fault-negative-deviation"));
         assert!(report.has_errors());
@@ -1100,10 +1105,9 @@ mod tests {
     fn window_length_switch_latency_flagged() {
         let mut s = valid_scenario();
         // 10 ms window at 100 MHz = 1_000_000 cycles; meet it exactly.
-        s.faults = Some(crate::scenario::FaultSpec {
-            switch_latency_cycles: 1_000_000,
-            ..Default::default()
-        });
+        let mut plan = FaultPlan::none();
+        plan.dvs.switch_latency_cycles = 1_000_000;
+        s.faults = Some(plan);
         assert!(analyze(&s)
             .codes()
             .contains("fault-switch-latency-exceeds-window"));
@@ -1112,17 +1116,13 @@ mod tests {
     #[test]
     fn empty_and_disjoint_degraded_sets_flagged() {
         let mut s = valid_scenario();
-        let f = crate::scenario::FaultSpec {
-            degraded_mhz: Some(vec![]),
-            ..Default::default()
-        };
-        s.faults = Some(f.clone());
+        let mut plan = FaultPlan::none();
+        plan.dvs.degraded_mhz = Some(vec![]);
+        s.faults = Some(plan.clone());
         assert!(analyze(&s).codes().contains("fault-empty-degraded-set"));
 
-        s.faults = Some(crate::scenario::FaultSpec {
-            degraded_mhz: Some(vec![999]),
-            ..f
-        });
+        plan.dvs.degraded_mhz = Some(vec![999]);
+        s.faults = Some(plan);
         assert!(analyze(&s).codes().contains("fault-empty-degraded-set"));
     }
 
@@ -1143,8 +1143,9 @@ mod tests {
     #[test]
     fn increasing_piecewise_flagged() {
         let mut s = valid_scenario();
-        s.tasks[0].tuf = TufSpec::Piecewise {
-            points: vec![(0, 1.0), (100, 5.0), (200, 0.0)],
+        let us = TimeDelta::from_micros;
+        s.tasks[0].tuf = TufDecl::Piecewise {
+            points: vec![(us(0), 1.0), (us(100), 5.0), (us(200), 0.0)],
         };
         assert!(analyze(&s).codes().contains("tuf-increasing"));
     }
@@ -1152,10 +1153,10 @@ mod tests {
     #[test]
     fn nu_of_one_on_decaying_tuf_is_unsolvable() {
         let mut s = valid_scenario();
-        s.tasks[0].tuf = TufSpec::Exponential {
+        s.tasks[0].tuf = TufDecl::Exponential {
             umax: 10.0,
-            tau_us: 1_000,
-            termination_us: 10_000,
+            tau: TimeDelta::from_micros(1_000),
+            termination: TimeDelta::from_micros(10_000),
         };
         // ν = 1 can only be met at t = 0 on a strictly decaying TUF.
         assert!(analyze(&s).codes().contains("critical-time-unsolvable"));

@@ -12,6 +12,12 @@
 //! * [`TaskSpec::to_task`] raises a spec back into a real
 //!   [`eua_sim::Task`] once the validation passes have cleared it.
 //!
+//! Two concepts need no raw mirror: a TUF is held as the certificate's
+//! own [`TufDecl`] and a fault stanza as the simulator's own
+//! [`FaultPlan`]. Both are plain records already (the constructor
+//! contract is checked only when raising them), so the `.scn` text maps
+//! onto them totally and without loss.
+//!
 //! Scenario files (`.scn`) use a line-based plain-text format; see
 //! [`ScenarioSpec::parse`].
 
@@ -19,153 +25,11 @@ use std::error::Error;
 use std::fmt;
 
 use eua_platform::{FrequencyTable, TimeDelta};
-use eua_sim::{FaultPlan, Task, TaskSet};
-use eua_tuf::Tuf;
+use eua_sim::{FaultPlan, Task, TaskSet, TufDecl};
 use eua_uam::demand::DemandModel;
 use eua_uam::generator::ArrivalPattern;
 use eua_uam::{Assurance, UamSpec};
 use eua_workload::Workload;
-
-/// Raw description of a time/utility function shape.
-///
-/// All times are in microseconds; nothing is validated here.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TufSpec {
-    /// Constant `umax` until `step_at_us`, zero afterwards; the job may
-    /// linger (accruing nothing) until `termination_us`.
-    Step {
-        /// Utility before the step.
-        umax: f64,
-        /// The step (deadline) offset in µs.
-        step_at_us: u64,
-        /// Termination offset in µs (≥ `step_at_us` once validated).
-        termination_us: u64,
-    },
-    /// Linear decay from `umax` at `t = 0` to zero at `termination_us`.
-    Linear {
-        /// Utility at release.
-        umax: f64,
-        /// The x-intercept (termination) offset in µs.
-        termination_us: u64,
-    },
-    /// Exponential decay `umax·e^(−t/τ)` truncated at `termination_us`.
-    Exponential {
-        /// Utility at release.
-        umax: f64,
-        /// Decay constant τ in µs.
-        tau_us: u64,
-        /// Termination offset in µs.
-        termination_us: u64,
-    },
-    /// Piecewise-linear over `(time_us, utility)` breakpoints.
-    Piecewise {
-        /// Breakpoints in declaration order (validated by the passes).
-        points: Vec<(u64, f64)>,
-    },
-}
-
-impl TufSpec {
-    /// Lowers a validated [`Tuf`] into its raw spec.
-    #[must_use]
-    pub fn from_tuf(tuf: &Tuf) -> Self {
-        match tuf {
-            Tuf::Step(s) => TufSpec::Step {
-                umax: s.height(),
-                step_at_us: s.step_at().as_micros(),
-                termination_us: tuf.termination().as_micros(),
-            },
-            Tuf::Linear(l) => TufSpec::Linear {
-                umax: l.umax(),
-                termination_us: tuf.termination().as_micros(),
-            },
-            Tuf::Exponential(e) => TufSpec::Exponential {
-                umax: tuf.max_utility(),
-                tau_us: e.tau().as_micros(),
-                termination_us: tuf.termination().as_micros(),
-            },
-            Tuf::Piecewise(p) => TufSpec::Piecewise {
-                points: p
-                    .breakpoints()
-                    .iter()
-                    .map(|&(t, u)| (t.as_micros(), u))
-                    .collect(),
-            },
-            _ => TufSpec::Linear {
-                umax: tuf.max_utility(),
-                termination_us: tuf.termination().as_micros(),
-            },
-        }
-    }
-
-    /// Raises the spec into a validated [`Tuf`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the library's own constructor error message when the spec
-    /// is invalid; the passes report the same conditions as diagnostics
-    /// before this is ever called.
-    pub fn to_tuf(&self) -> Result<Tuf, String> {
-        match self {
-            TufSpec::Step {
-                umax, step_at_us, ..
-            } => Tuf::step(*umax, TimeDelta::from_micros(*step_at_us)),
-            TufSpec::Linear {
-                umax,
-                termination_us,
-            } => Tuf::linear(*umax, TimeDelta::from_micros(*termination_us)),
-            TufSpec::Exponential {
-                umax,
-                tau_us,
-                termination_us,
-            } => Tuf::exponential(
-                *umax,
-                TimeDelta::from_micros(*tau_us),
-                TimeDelta::from_micros(*termination_us),
-            ),
-            TufSpec::Piecewise { points } => Tuf::piecewise(
-                points
-                    .iter()
-                    .map(|&(t, u)| (TimeDelta::from_micros(t), u))
-                    .collect::<Vec<_>>(),
-            ),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    /// The shape's display name.
-    #[must_use]
-    pub fn shape_name(&self) -> &'static str {
-        match self {
-            TufSpec::Step { .. } => "step",
-            TufSpec::Linear { .. } => "linear",
-            TufSpec::Exponential { .. } => "exponential",
-            TufSpec::Piecewise { .. } => "piecewise",
-        }
-    }
-
-    /// The raw maximum utility (utility at release).
-    #[must_use]
-    pub fn umax(&self) -> f64 {
-        match self {
-            TufSpec::Step { umax, .. }
-            | TufSpec::Linear { umax, .. }
-            | TufSpec::Exponential { umax, .. } => *umax,
-            TufSpec::Piecewise { points } => points.first().map_or(f64::NAN, |&(_, u)| u),
-        }
-    }
-
-    /// The raw termination offset in µs (the last breakpoint for a
-    /// piecewise shape; zero when there are no breakpoints).
-    #[must_use]
-    pub fn termination_us(&self) -> u64 {
-        match self {
-            TufSpec::Step { termination_us, .. }
-            | TufSpec::Linear { termination_us, .. }
-            | TufSpec::Exponential { termination_us, .. } => *termination_us,
-            TufSpec::Piecewise { points } => points.last().map_or(0, |&(t, _)| t),
-        }
-    }
-}
 
 /// Raw description of a per-job demand distribution (cycles).
 #[derive(Debug, Clone, PartialEq)]
@@ -372,8 +236,8 @@ impl ArrivalSpec {
 pub struct TaskSpec {
     /// The task's name (diagnostics anchor on it).
     pub name: String,
-    /// The raw TUF shape.
-    pub tuf: TufSpec,
+    /// The TUF shape, unvalidated until [`TaskSpec::to_task`].
+    pub tuf: TufDecl,
     /// The UAM arrival bound `a` — raw, so `0` or `2.5` are
     /// representable and diagnosable.
     pub max_arrivals: f64,
@@ -403,7 +267,7 @@ impl TaskSpec {
     pub fn from_task(task: &Task) -> Self {
         TaskSpec {
             name: task.name().to_string(),
-            tuf: TufSpec::from_tuf(task.tuf()),
+            tuf: TufDecl::from_tuf(task.tuf()),
             max_arrivals: f64::from(task.uam().max_arrivals()),
             window_us: task.uam().window().as_micros(),
             demand: DemandSpec::from_model(task.demand()),
@@ -570,86 +434,6 @@ impl EnergySpec {
     }
 }
 
-/// Raw description of a fault-injection plan (see
-/// [`eua_sim::FaultPlan`]); nothing is validated here — the fault pass
-/// diagnoses negative deviation factors, window-length switch
-/// latencies, and unusable degraded frequency sets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    /// Multiplier on every sampled demand's mean (1.0 = faithful).
-    pub demand_mean_factor: f64,
-    /// Extra multiplicative noise half-width around the scaled demand.
-    pub demand_spread: f64,
-    /// DVS relock latency in cycles charged on every frequency change.
-    pub switch_latency_cycles: u64,
-    /// Surviving frequencies in MHz, if the fault restricts the table.
-    pub degraded_mhz: Option<Vec<u64>>,
-    /// Extra arrivals injected per affected UAM window.
-    pub burst_extra: u32,
-    /// Every how many windows a burst strikes (0 is diagnosed).
-    pub burst_every: u32,
-    /// Fixed processing cost of each abort, in µs.
-    pub abort_cost_us: u64,
-    /// Half-width of the uniform arrival-jitter interval, in µs.
-    pub arrival_jitter_us: u64,
-}
-
-impl Default for FaultSpec {
-    fn default() -> Self {
-        FaultSpec {
-            demand_mean_factor: 1.0,
-            demand_spread: 0.0,
-            switch_latency_cycles: 0,
-            degraded_mhz: None,
-            burst_extra: 0,
-            burst_every: 1,
-            abort_cost_us: 0,
-            arrival_jitter_us: 0,
-        }
-    }
-}
-
-impl FaultSpec {
-    /// Raises the spec into the simulator's [`FaultPlan`] (the
-    /// `stuck_after` fault has no `.scn` surface and stays disabled).
-    #[must_use]
-    pub fn to_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        plan.uam.extra_per_window = self.burst_extra;
-        plan.uam.every_n_windows = self.burst_every;
-        plan.demand.mean_factor = self.demand_mean_factor;
-        plan.demand.spread = self.demand_spread;
-        plan.dvs.switch_latency_cycles = self.switch_latency_cycles;
-        plan.dvs.degraded_mhz = self.degraded_mhz.clone();
-        plan.timing.abort_cost = TimeDelta::from_micros(self.abort_cost_us);
-        plan.timing.arrival_jitter = TimeDelta::from_micros(self.arrival_jitter_us);
-        plan
-    }
-
-    /// Lowers a simulator [`FaultPlan`] into its raw spec.
-    ///
-    /// Returns `None` when the plan uses a fault the `.scn` format
-    /// cannot express (currently only `dvs.stuck_after`); the chaos
-    /// runner samples plans from the expressible subset so its repros
-    /// always lower.
-    #[must_use]
-    pub fn from_plan(plan: &FaultPlan) -> Option<Self> {
-        if plan.dvs.stuck_after.is_some() {
-            return None;
-        }
-        Some(FaultSpec {
-            demand_mean_factor: plan.demand.mean_factor,
-            demand_spread: plan.demand.spread,
-            switch_latency_cycles: plan.dvs.switch_latency_cycles,
-            degraded_mhz: plan.dvs.degraded_mhz.clone(),
-            burst_extra: plan.uam.extra_per_window,
-            burst_every: plan.uam.every_n_windows,
-            abort_cost_us: plan.timing.abort_cost.as_micros(),
-            arrival_jitter_us: plan.timing.arrival_jitter.as_micros(),
-        })
-    }
-}
-
 /// A complete raw scenario: platform frequencies, energy model, and
 /// tasks.
 #[derive(Debug, Clone, PartialEq)]
@@ -662,8 +446,9 @@ pub struct ScenarioSpec {
     pub energy: EnergySpec,
     /// The raw tasks.
     pub tasks: Vec<TaskSpec>,
-    /// The fault-injection stanza, if the scenario declares one.
-    pub faults: Option<FaultSpec>,
+    /// The fault-injection stanza, if the scenario declares one
+    /// (unvalidated; the fault pass diagnoses it).
+    pub faults: Option<FaultPlan>,
 }
 
 impl ScenarioSpec {
@@ -775,22 +560,34 @@ impl ScenarioSpec {
         for t in &self.tasks {
             out.push_str(&format!("task {}\n", t.name));
             match &t.tuf {
-                TufSpec::Step {
-                    umax, step_at_us, ..
-                } => out.push_str(&format!("  tuf step {umax:?} {step_at_us}\n")),
-                TufSpec::Linear {
+                TufDecl::Step {
                     umax,
-                    termination_us,
-                } => out.push_str(&format!("  tuf linear {umax:?} {termination_us}\n")),
-                TufSpec::Exponential {
+                    step_at,
+                    termination,
+                } => {
+                    out.push_str(&format!("  tuf step {umax:?} {}", step_at.as_micros()));
+                    if termination != step_at {
+                        out.push_str(&format!(" {}", termination.as_micros()));
+                    }
+                    out.push('\n');
+                }
+                TufDecl::Linear { umax, termination } => out.push_str(&format!(
+                    "  tuf linear {umax:?} {}\n",
+                    termination.as_micros()
+                )),
+                TufDecl::Exponential {
                     umax,
-                    tau_us,
-                    termination_us,
-                } => out.push_str(&format!("  tuf exp {umax:?} {tau_us} {termination_us}\n")),
-                TufSpec::Piecewise { points } => {
+                    tau,
+                    termination,
+                } => out.push_str(&format!(
+                    "  tuf exp {umax:?} {} {}\n",
+                    tau.as_micros(),
+                    termination.as_micros()
+                )),
+                TufDecl::Piecewise { points } => {
                     out.push_str("  tuf piecewise");
                     for (time, utility) in points {
-                        out.push_str(&format!(" {time}:{utility:?}"));
+                        out.push_str(&format!(" {}:{utility:?}", time.as_micros()));
                     }
                     out.push('\n');
                 }
@@ -834,10 +631,16 @@ impl ScenarioSpec {
             out.push_str("faults\n");
             out.push_str(&format!(
                 "  demand-deviation {:?} {:?}\n",
-                f.demand_mean_factor, f.demand_spread
+                f.demand.mean_factor, f.demand.spread
             ));
-            out.push_str(&format!("  switch-latency {}\n", f.switch_latency_cycles));
-            if let Some(set) = &f.degraded_mhz {
+            out.push_str(&format!(
+                "  switch-latency {}\n",
+                f.dvs.switch_latency_cycles
+            ));
+            if let Some(after) = f.dvs.stuck_after {
+                out.push_str(&format!("  stuck-after {}\n", after.as_micros()));
+            }
+            if let Some(set) = &f.dvs.degraded_mhz {
                 out.push_str("  degraded-frequencies");
                 for mhz in set {
                     out.push_str(&format!(" {mhz}"));
@@ -846,10 +649,16 @@ impl ScenarioSpec {
             }
             out.push_str(&format!(
                 "  burst-extra {} {}\n",
-                f.burst_extra, f.burst_every
+                f.uam.extra_per_window, f.uam.every_n_windows
             ));
-            out.push_str(&format!("  abort-cost {}\n", f.abort_cost_us));
-            out.push_str(&format!("  arrival-jitter {}\n", f.arrival_jitter_us));
+            out.push_str(&format!(
+                "  abort-cost {}\n",
+                f.timing.abort_cost.as_micros()
+            ));
+            out.push_str(&format!(
+                "  arrival-jitter {}\n",
+                f.timing.arrival_jitter.as_micros()
+            ));
             out.push_str("end\n");
         }
         out
@@ -863,7 +672,7 @@ impl ScenarioSpec {
     /// frequencies 36 55 64 73 82 91 100
     /// energy E3                      # or: energy custom S3 S2 S1rel S0rel
     /// task track
-    ///   tuf step 10 10000            # umax, deadline µs
+    ///   tuf step 10 10000            # umax, deadline µs [, termination µs]
     ///   uam 2 10000                  # a, window µs
     ///   demand normal 150000 150000  # also: det c | uniform lo hi | pareto scale alpha
     ///   assurance 1.0 0.96           # nu, rho
@@ -872,6 +681,7 @@ impl ScenarioSpec {
     /// faults                         # optional fault-injection stanza
     ///   demand-deviation 1.5 0.2     # mean factor, spread
     ///   switch-latency 20000         # DVS relock cycles
+    ///   stuck-after 50000            # optional: frequency pinned after µs
     ///   degraded-frequencies 36 55   # surviving MHz entries
     ///   burst-extra 2 1              # extra arrivals, every n windows
     ///   abort-cost 300               # µs per abort
@@ -879,10 +689,19 @@ impl ScenarioSpec {
     /// end
     /// ```
     ///
-    /// TUF forms: `step umax deadline_us`, `linear umax termination_us`,
-    /// `exp umax tau_us termination_us`, `piecewise t:u t:u …`.
+    /// TUF forms: `step umax deadline_us [termination_us]`,
+    /// `linear umax termination_us`, `exp umax tau_us termination_us`,
+    /// `piecewise t:u t:u …`. A step TUF's termination defaults to its
+    /// deadline and is rendered only when it differs.
     ///
-    /// Structural problems (unknown keywords, missing stanza fields) are
+    /// A `faults` stanza starts from the inactive plan with a burst
+    /// stride of 1; each line sets its fields. `stuck-after` is rendered
+    /// only when set.
+    ///
+    /// Structural problems (unknown keywords, missing stanza fields) and
+    /// values no simulator run can take (a count past `u32`, a step
+    /// termination before its deadline, burst injection with a zero
+    /// stride, an `onoff` pattern with no bursty window) are
     /// [`ParseError`]s; *semantic* problems (ν out of range, overload)
     /// are left for the passes to diagnose.
     ///
@@ -955,7 +774,7 @@ impl<'a> Parser<'a> {
         let mut frequencies: Vec<u64> = Vec::new();
         let mut energy = EnergySpec::e1();
         let mut tasks = Vec::new();
-        let mut faults: Option<FaultSpec> = None;
+        let mut faults: Option<FaultPlan> = None;
 
         while self.pos < self.lines.len() {
             let (line, body) = self.lines[self.pos];
@@ -1016,8 +835,9 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_faults(&mut self, stanza_line: usize) -> Result<FaultSpec, ParseError> {
-        let mut spec = FaultSpec::default();
+    fn parse_faults(&mut self, stanza_line: usize) -> Result<FaultPlan, ParseError> {
+        let mut plan = FaultPlan::none();
+        plan.uam.every_n_windows = 1;
         loop {
             let Some(&(line, body)) = self.lines.get(self.pos) else {
                 return Err(Self::err(
@@ -1033,8 +853,8 @@ impl<'a> Parser<'a> {
                 "end" => break,
                 "demand-deviation" => match rest.as_slice() {
                     [factor, spread] => {
-                        spec.demand_mean_factor = parse_f64(line, "factor", factor)?;
-                        spec.demand_spread = parse_f64(line, "spread", spread)?;
+                        plan.demand.mean_factor = parse_f64(line, "factor", factor)?;
+                        plan.demand.spread = parse_f64(line, "spread", spread)?;
                     }
                     _ => {
                         return Err(Self::err(
@@ -1045,30 +865,40 @@ impl<'a> Parser<'a> {
                 },
                 "switch-latency" => match rest.as_slice() {
                     [cycles] => {
-                        spec.switch_latency_cycles = parse_u64(line, "cycles", cycles)?;
+                        plan.dvs.switch_latency_cycles = parse_u64(line, "cycles", cycles)?;
                     }
                     _ => return Err(Self::err(line, "expected `switch-latency <cycles>`")),
+                },
+                "stuck-after" => match rest.as_slice() {
+                    [us] => plan.dvs.stuck_after = Some(parse_us(line, "stuck-after", us)?),
+                    _ => return Err(Self::err(line, "expected `stuck-after <us>`")),
                 },
                 "degraded-frequencies" => {
                     let mut set = Vec::with_capacity(rest.len());
                     for w in &rest {
                         set.push(parse_u64(line, "frequency", w)?);
                     }
-                    spec.degraded_mhz = Some(set);
+                    plan.dvs.degraded_mhz = Some(set);
                 }
                 "burst-extra" => match rest.as_slice() {
                     [extra, every] => {
-                        spec.burst_extra = parse_u64(line, "extra", extra)? as u32;
-                        spec.burst_every = parse_u64(line, "every", every)? as u32;
+                        plan.uam.extra_per_window = parse_u32(line, "extra", extra)?;
+                        plan.uam.every_n_windows = parse_u32(line, "every", every)?;
+                        if plan.uam.extra_per_window > 0 && plan.uam.every_n_windows == 0 {
+                            return Err(Self::err(
+                                line,
+                                "burst injection needs a window stride of at least 1",
+                            ));
+                        }
                     }
                     _ => return Err(Self::err(line, "expected `burst-extra <extra> <every>`")),
                 },
                 "abort-cost" => match rest.as_slice() {
-                    [us] => spec.abort_cost_us = parse_u64(line, "abort cost", us)?,
+                    [us] => plan.timing.abort_cost = parse_us(line, "abort cost", us)?,
                     _ => return Err(Self::err(line, "expected `abort-cost <us>`")),
                 },
                 "arrival-jitter" => match rest.as_slice() {
-                    [us] => spec.arrival_jitter_us = parse_u64(line, "jitter", us)?,
+                    [us] => plan.timing.arrival_jitter = parse_us(line, "jitter", us)?,
                     _ => return Err(Self::err(line, "expected `arrival-jitter <us>`")),
                 },
                 other => {
@@ -1076,7 +906,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Ok(spec)
+        Ok(plan)
     }
 
     fn parse_energy(line: usize, rest: &[&str]) -> Result<EnergySpec, ParseError> {
@@ -1099,7 +929,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_task(&mut self, task_line: usize, name: String) -> Result<TaskSpec, ParseError> {
-        let mut tuf: Option<TufSpec> = None;
+        let mut tuf: Option<TufDecl> = None;
         let mut uam: Option<(f64, u64)> = None;
         let mut demand: Option<DemandSpec> = None;
         let mut assurance: Option<(f64, f64)> = None;
@@ -1174,10 +1004,16 @@ impl<'a> Parser<'a> {
             ["poisson", rate] => Ok(ArrivalSpec::Poisson {
                 rate_per_window: parse_f64(line, "rate", rate)?,
             }),
-            ["onoff", on, off] => Ok(ArrivalSpec::OnOff {
-                on_windows: parse_u64(line, "on windows", on)? as u32,
-                off_windows: parse_u64(line, "off windows", off)? as u32,
-            }),
+            ["onoff", on, off] => {
+                let on_windows = parse_u32(line, "on windows", on)?;
+                if on_windows == 0 {
+                    return Err(Self::err(line, "`arrival onoff` needs at least one on window"));
+                }
+                Ok(ArrivalSpec::OnOff {
+                    on_windows,
+                    off_windows: parse_u32(line, "off windows", off)?,
+                })
+            }
             _ => Err(Self::err(
                 line,
                 "expected `arrival periodic` | `arrival burst` | `arrival poisson r` | `arrival onoff on off`",
@@ -1185,24 +1021,38 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_tuf(line: usize, rest: &[&str]) -> Result<TufSpec, ParseError> {
+    fn parse_tuf(line: usize, rest: &[&str]) -> Result<TufDecl, ParseError> {
         match rest {
-            ["step", umax, deadline] => {
-                let d = parse_u64(line, "deadline", deadline)?;
-                Ok(TufSpec::Step {
+            ["step", umax, deadline, termination @ ..] if termination.len() <= 1 => {
+                let step_at = parse_us(line, "deadline", deadline)?;
+                let termination = match termination {
+                    [x] => parse_us(line, "termination", x)?,
+                    _ => step_at,
+                };
+                if termination < step_at {
+                    return Err(Self::err(
+                        line,
+                        format!(
+                            "step termination {} µs is before the deadline {} µs",
+                            termination.as_micros(),
+                            step_at.as_micros()
+                        ),
+                    ));
+                }
+                Ok(TufDecl::Step {
                     umax: parse_f64(line, "umax", umax)?,
-                    step_at_us: d,
-                    termination_us: d,
+                    step_at,
+                    termination,
                 })
             }
-            ["linear", umax, termination] => Ok(TufSpec::Linear {
+            ["linear", umax, termination] => Ok(TufDecl::Linear {
                 umax: parse_f64(line, "umax", umax)?,
-                termination_us: parse_u64(line, "termination", termination)?,
+                termination: parse_us(line, "termination", termination)?,
             }),
-            ["exp", umax, tau, termination] => Ok(TufSpec::Exponential {
+            ["exp", umax, tau, termination] => Ok(TufDecl::Exponential {
                 umax: parse_f64(line, "umax", umax)?,
-                tau_us: parse_u64(line, "tau", tau)?,
-                termination_us: parse_u64(line, "termination", termination)?,
+                tau: parse_us(line, "tau", tau)?,
+                termination: parse_us(line, "termination", termination)?,
             }),
             ["piecewise", points @ ..] if !points.is_empty() => {
                 let mut parsed = Vec::with_capacity(points.len());
@@ -1210,13 +1060,13 @@ impl<'a> Parser<'a> {
                     let Some((t, u)) = p.split_once(':') else {
                         return Err(Self::err(line, format!("breakpoint `{p}` is not `time:utility`")));
                     };
-                    parsed.push((parse_u64(line, "time", t)?, parse_f64(line, "utility", u)?));
+                    parsed.push((parse_us(line, "time", t)?, parse_f64(line, "utility", u)?));
                 }
-                Ok(TufSpec::Piecewise { points: parsed })
+                Ok(TufDecl::Piecewise { points: parsed })
             }
             _ => Err(Self::err(
                 line,
-                "expected `tuf step u d` | `tuf linear u x` | `tuf exp u tau x` | `tuf piecewise t:u ...`",
+                "expected `tuf step u d [x]` | `tuf linear u x` | `tuf exp u tau x` | `tuf piecewise t:u ...`",
             )),
         }
     }
@@ -1265,9 +1115,19 @@ fn parse_u64(line: usize, what: &str, word: &str) -> Result<u64, ParseError> {
     })
 }
 
+fn parse_u32(line: usize, what: &str, word: &str) -> Result<u32, ParseError> {
+    u32::try_from(parse_u64(line, what, word)?)
+        .map_err(|_| Parser::err(line, format!("{what} `{word}` does not fit in 32 bits")))
+}
+
+fn parse_us(line: usize, what: &str, word: &str) -> Result<TimeDelta, ParseError> {
+    parse_u64(line, what, word).map(TimeDelta::from_micros)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eua_tuf::Tuf;
 
     const VALID: &str = "\
 # demo scenario
@@ -1359,30 +1219,131 @@ end
         assert_eq!(back.render(), rendered);
     }
 
+    /// A plan exercising every fault field `.scn` can express.
+    fn full_plan() -> FaultPlan {
+        let mut plan = FaultPlan::none();
+        plan.demand.mean_factor = 1.5;
+        plan.demand.spread = 0.2;
+        plan.dvs.switch_latency_cycles = 20_000;
+        plan.dvs.stuck_after = Some(TimeDelta::from_micros(50_000));
+        plan.dvs.degraded_mhz = Some(vec![36, 55]);
+        plan.uam.extra_per_window = 2;
+        plan.uam.every_n_windows = 3;
+        plan.timing.abort_cost = TimeDelta::from_micros(300);
+        plan.timing.arrival_jitter = TimeDelta::from_micros(2_000);
+        plan
+    }
+
     #[test]
-    fn fault_spec_bridges_to_and_from_plan() {
-        let spec = FaultSpec {
-            demand_mean_factor: 1.5,
-            demand_spread: 0.2,
-            switch_latency_cycles: 20_000,
-            degraded_mhz: Some(vec![36, 55]),
-            burst_extra: 2,
-            burst_every: 3,
-            abort_cost_us: 300,
-            arrival_jitter_us: 2_000,
+    fn stuck_after_fault_round_trips_through_scn_text() {
+        let mut s = ScenarioSpec::parse(VALID).expect("parses");
+        s.faults = Some(full_plan());
+        let rendered = s.render();
+        assert!(rendered.contains("  stuck-after 50000\n"), "{rendered}");
+        let back = ScenarioSpec::parse(&rendered).expect("canonical text parses");
+        assert_eq!(back.faults, Some(full_plan()));
+        assert_eq!(back.render(), rendered);
+        assert!(back.to_workload().is_ok());
+        // Unset, the line is not rendered at all.
+        let mut plain = full_plan();
+        plain.dvs.stuck_after = None;
+        s.faults = Some(plain);
+        assert!(!s.render().contains("stuck-after"));
+    }
+
+    #[test]
+    fn step_termination_round_trips_through_scn_text_and_workload() {
+        let ms = TimeDelta::from_millis;
+        let tuf: Tuf = eua_tuf::StepTuf::with_termination(10.0, ms(10), ms(25))
+            .expect("tuf")
+            .into();
+        let task = Task::new(
+            "lingering",
+            tuf.clone(),
+            UamSpec::new(1, ms(30)).expect("uam"),
+            DemandModel::deterministic(1_000.0).expect("demand"),
+            Assurance::new(1.0, 0.5).expect("assurance"),
+        )
+        .expect("task");
+        let workload = Workload {
+            tasks: TaskSet::new(vec![task]).expect("set"),
+            patterns: vec![ArrivalPattern::periodic(ms(30)).expect("pattern")],
         };
-        let plan = spec.to_plan();
-        assert_eq!(plan.uam.extra_per_window, 2);
-        assert_eq!(plan.uam.every_n_windows, 3);
-        assert_eq!(plan.timing.abort_cost.as_micros(), 300);
-        plan.validate().expect("valid plan");
-        assert_eq!(FaultSpec::from_plan(&plan), Some(spec));
-        // The default spec lowers to an inactive plan.
-        assert!(FaultSpec::default().to_plan().is_none());
-        // stuck_after has no .scn surface.
-        let mut stuck = FaultPlan::none();
-        stuck.dvs.stuck_after = Some(TimeDelta::from_micros(1));
-        assert_eq!(FaultSpec::from_plan(&stuck), None);
+        let table = FrequencyTable::new([100]).expect("table");
+        let spec = ScenarioSpec::from_workload("linger", &workload, &table, EnergySpec::e1())
+            .expect("expressible");
+        let rendered = spec.render();
+        assert!(
+            rendered.contains("  tuf step 10.0 10000 25000\n"),
+            "{rendered}"
+        );
+        let back = ScenarioSpec::parse(&rendered).expect("reparses");
+        assert_eq!(back, spec);
+        let raised = back.to_workload().expect("raises");
+        let (_, raised_task) = raised.tasks.iter().next().expect("one task");
+        assert_eq!(raised_task.tuf(), &tuf);
+        assert_eq!(raised_task.termination_offset(), ms(25));
+    }
+
+    /// Parses a one-task scenario whose task (or trailing stanza) holds
+    /// `line`; the line under test is always line 4.
+    fn parse_with(task_line: &str, trailer: &str) -> Result<ScenarioSpec, ParseError> {
+        ScenarioSpec::parse(&format!(
+            "scenario x\nfrequencies 100\ntask t\n{task_line}\n  uam 1 10000\n  \
+             demand det 10\n  assurance 1 0.5\nend\n{trailer}"
+        ))
+    }
+
+    #[test]
+    fn step_termination_before_the_deadline_is_a_parse_error() {
+        let e = parse_with("  tuf step 1 10000 9999", "").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("before the deadline"), "{}", e.message);
+        // Equal to the deadline is the plain form, and renders as such.
+        let s = parse_with("  tuf step 1.0 10000 10000", "").expect("parses");
+        assert!(s.render().contains("  tuf step 1.0 10000\n"));
+    }
+
+    fn faults_with(line: &str) -> Result<ScenarioSpec, ParseError> {
+        parse_with("  tuf step 1 10000", &format!("faults\n{line}\nend\n"))
+    }
+
+    #[test]
+    fn burst_counts_past_u32_are_parse_errors() {
+        // `as u32` used to wrap 2^32 to 0.
+        let e = faults_with("  burst-extra 4294967296 0").unwrap_err();
+        assert_eq!(e.line, 10);
+        assert!(e.message.contains("4294967296"), "{}", e.message);
+        let e = faults_with("  burst-extra 1 4294967297").unwrap_err();
+        assert_eq!(e.line, 10);
+    }
+
+    #[test]
+    fn burst_injection_with_a_zero_stride_is_a_parse_error() {
+        let e = faults_with("  burst-extra 5 0").unwrap_err();
+        assert_eq!(e.line, 10);
+        assert!(e.message.contains("stride"), "{}", e.message);
+        // No injection, no stride needed (the committed corpus form).
+        let s = faults_with("  burst-extra 0 0").expect("parses");
+        assert_eq!(s.faults.expect("stanza").uam.every_n_windows, 0);
+    }
+
+    #[test]
+    fn onoff_counts_past_u32_are_parse_errors() {
+        let e = parse_with("  tuf step 1 10000\n  arrival onoff 4294967296 1", "").unwrap_err();
+        assert_eq!(e.line, 5);
+        let e = parse_with("  tuf step 1 10000\n  arrival onoff 1 4294967296", "").unwrap_err();
+        assert_eq!(e.line, 5);
+    }
+
+    #[test]
+    fn onoff_with_no_on_window_is_a_parse_error() {
+        let e = parse_with("  tuf step 1 10000\n  arrival onoff 0 1", "").unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("on window"), "{}", e.message);
+        // Zero off windows is a legal (always-on) pattern.
+        let s = parse_with("  tuf step 1 10000\n  arrival onoff 1 0", "").expect("parses");
+        assert!(s.to_workload().is_ok());
     }
 
     #[test]
@@ -1453,13 +1414,17 @@ end
         );
         let s = ScenarioSpec::parse(&text).expect("parses");
         let f = s.faults.expect("faults stanza");
-        assert_eq!(f.demand_mean_factor, 1.5);
-        assert_eq!(f.demand_spread, 0.2);
-        assert_eq!(f.switch_latency_cycles, 20_000);
-        assert_eq!(f.degraded_mhz, Some(vec![36, 55]));
-        assert_eq!((f.burst_extra, f.burst_every), (2, 1));
-        assert_eq!(f.abort_cost_us, 300);
-        assert_eq!(f.arrival_jitter_us, 2_000);
+        assert_eq!(f.demand.mean_factor, 1.5);
+        assert_eq!(f.demand.spread, 0.2);
+        assert_eq!(f.dvs.switch_latency_cycles, 20_000);
+        assert_eq!(f.dvs.stuck_after, None);
+        assert_eq!(f.dvs.degraded_mhz, Some(vec![36, 55]));
+        assert_eq!((f.uam.extra_per_window, f.uam.every_n_windows), (2, 1));
+        assert_eq!(f.timing.abort_cost.as_micros(), 300);
+        assert_eq!(f.timing.arrival_jitter.as_micros(), 2_000);
+        // A stanza without a `burst-extra` line keeps the stride-1 default.
+        let bare = ScenarioSpec::parse(&format!("{VALID}faults\nend\n")).expect("parses");
+        assert_eq!(bare.faults.expect("stanza").uam.every_n_windows, 1);
     }
 
     #[test]
@@ -1468,7 +1433,7 @@ end
     }
 
     #[test]
-    fn fault_stanza_errors_are_structural() {
+    fn faults_stanza_errors_are_structural() {
         let e = ScenarioSpec::parse("scenario x\nfaults\n  switch-latency\nend\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("switch-latency"));
@@ -1514,10 +1479,10 @@ end
     fn chebyshev_allocation_matches_library() {
         let spec = TaskSpec {
             name: "t".into(),
-            tuf: TufSpec::Step {
+            tuf: TufDecl::Step {
                 umax: 1.0,
-                step_at_us: 1_000,
-                termination_us: 1_000,
+                step_at: TimeDelta::from_micros(1_000),
+                termination: TimeDelta::from_micros(1_000),
             },
             max_arrivals: 1.0,
             window_us: 1_000,
@@ -1541,10 +1506,10 @@ end
     fn pareto_heavy_tail_has_no_allocation() {
         let spec = TaskSpec {
             name: "t".into(),
-            tuf: TufSpec::Step {
+            tuf: TufDecl::Step {
                 umax: 1.0,
-                step_at_us: 1_000,
-                termination_us: 1_000,
+                step_at: TimeDelta::from_micros(1_000),
+                termination: TimeDelta::from_micros(1_000),
             },
             max_arrivals: 1.0,
             window_us: 1_000,
@@ -1594,16 +1559,7 @@ end
             s1_rel: 0.2,
             s0_rel: 0.3,
         };
-        s.faults = Some(FaultSpec {
-            demand_mean_factor: 1.5,
-            demand_spread: 0.2,
-            switch_latency_cycles: 20_000,
-            degraded_mhz: Some(vec![36, 55]),
-            burst_extra: 2,
-            burst_every: 3,
-            abort_cost_us: 300,
-            arrival_jitter_us: 2_000,
-        });
+        s.faults = Some(full_plan());
         let rendered = s.render();
         let back = ScenarioSpec::parse(&rendered).expect("canonical text parses");
         assert_eq!(back, s);
@@ -1615,10 +1571,10 @@ end
         for rho in [0.0, 0.5, 0.96] {
             let spec = TaskSpec {
                 name: "t".into(),
-                tuf: TufSpec::Step {
+                tuf: TufDecl::Step {
                     umax: 1.0,
-                    step_at_us: 1_000,
-                    termination_us: 1_000,
+                    step_at: TimeDelta::from_micros(1_000),
+                    termination: TimeDelta::from_micros(1_000),
                 },
                 max_arrivals: 1.0,
                 window_us: 1_000,
@@ -1648,10 +1604,10 @@ end
         // C/D equals the classical utilization C/P.
         let spec = TaskSpec {
             name: "t".into(),
-            tuf: TufSpec::Step {
+            tuf: TufDecl::Step {
                 umax: 1.0,
-                step_at_us: 10_000,
-                termination_us: 10_000,
+                step_at: TimeDelta::from_micros(10_000),
+                termination: TimeDelta::from_micros(10_000),
             },
             max_arrivals: 1.0,
             window_us: 10_000,

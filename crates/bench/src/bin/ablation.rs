@@ -18,7 +18,9 @@
 
 use std::path::PathBuf;
 
-use eua_bench::{jobs_from_args, run_cell, run_cells, write_csv, ExperimentConfig, Table};
+use eua_bench::{
+    flag_or_exit, jobs_from_args, run_cell, run_cells, write_csv, ExperimentConfig, Table,
+};
 use eua_platform::{EnergySetting, Frequency};
 use eua_sim::Platform;
 use eua_uam::Assurance;
@@ -29,11 +31,7 @@ const WORKLOAD_SEED: u64 = 42;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let csv_dir: Option<PathBuf> = flag_or_exit(&args, "--csv-dir");
     let config = if quick {
         ExperimentConfig::quick()
     } else {

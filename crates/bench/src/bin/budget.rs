@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use eua_bench::{jobs_from_args, write_csv, ExperimentConfig, Table};
+use eua_bench::{flag_or_exit, jobs_from_args, write_csv, ExperimentConfig, Table};
 use eua_core::{BudgetedEua, Eua};
 use eua_platform::EnergySetting;
 use eua_sim::{replicate_parallel, Platform, SimConfig, Summary};
@@ -23,11 +23,7 @@ const WORKLOAD_SEED: u64 = 42;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let csv_dir: Option<PathBuf> = flag_or_exit(&args, "--csv-dir");
     let config = if quick {
         ExperimentConfig::quick()
     } else {

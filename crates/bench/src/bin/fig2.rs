@@ -12,7 +12,8 @@
 use std::path::PathBuf;
 
 use eua_bench::{
-    jobs_from_args, render_chart, render_svg, run_cells, write_csv, ExperimentConfig, Series, Table,
+    flag_or_exit, jobs_from_args, render_chart, render_svg, run_cells, usage_exit, write_csv,
+    ExperimentConfig, Series, Table,
 };
 use eua_platform::EnergySetting;
 use eua_sim::Platform;
@@ -30,21 +31,19 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let show_settings = args.iter().any(|a| a == "--show-settings");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let csv_dir: Option<PathBuf> = flag_or_exit(&args, "--csv-dir");
     let mut settings: Vec<EnergySetting> = args
         .iter()
         .enumerate()
         .filter(|(_, a)| *a == "--energy")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .filter_map(|v| match v.as_str() {
-            "e1" => Some(EnergySetting::e1()),
-            "e2" => Some(EnergySetting::e2()),
-            "e3" => Some(EnergySetting::e3()),
-            _ => None,
+        .map(|(i, _)| match args.get(i + 1).map(String::as_str) {
+            Some("e1") => EnergySetting::e1(),
+            Some("e2") => EnergySetting::e2(),
+            Some("e3") => EnergySetting::e3(),
+            Some(other) => usage_exit(&format!(
+                "invalid --energy value `{other}`: expected e1, e2 or e3"
+            )),
+            None => usage_exit("--energy needs a value"),
         })
         .collect();
     if settings.is_empty() {

@@ -14,7 +14,8 @@
 use std::path::PathBuf;
 
 use eua_bench::{
-    jobs_from_args, render_chart, render_svg, run_cells, write_csv, ExperimentConfig, Series, Table,
+    flag_or_exit, jobs_from_args, render_chart, render_svg, run_cells, write_csv, ExperimentConfig,
+    Series, Table,
 };
 use eua_platform::EnergySetting;
 use eua_sim::Platform;
@@ -29,11 +30,7 @@ fn loads() -> Vec<f64> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let csv_dir: Option<PathBuf> = flag_or_exit(&args, "--csv-dir");
     let config = if quick {
         ExperimentConfig::quick()
     } else {

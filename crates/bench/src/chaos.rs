@@ -27,7 +27,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use eua_analyze::scenario::FaultSpec;
 use eua_analyze::{DiagCode, Report, Severity};
 use eua_platform::TimeDelta;
 use eua_sim::{map_parallel_settle, FaultPlan, PoolError};
@@ -196,32 +195,37 @@ pub fn unexpected_audit_errors(report: &Report, plan: &FaultPlan) -> u64 {
 }
 
 fn fault_json(plan: &FaultPlan) -> Json {
-    // Campaign plans never use `stuck_after`, so lowering always works.
-    let spec = FaultSpec::from_plan(plan).unwrap_or_default();
+    // Campaign plans never set `stuck_after`, so the record omits it.
     Json::Obj(vec![
         (
             "burst_extra".into(),
-            Json::uint(u64::from(spec.burst_extra)),
+            Json::uint(u64::from(plan.uam.extra_per_window)),
         ),
         (
             "burst_every".into(),
-            Json::uint(u64::from(spec.burst_every)),
+            Json::uint(u64::from(plan.uam.every_n_windows)),
         ),
-        ("mean_factor".into(), Json::num(spec.demand_mean_factor)),
-        ("spread".into(), Json::num(spec.demand_spread)),
+        ("mean_factor".into(), Json::num(plan.demand.mean_factor)),
+        ("spread".into(), Json::num(plan.demand.spread)),
         (
             "switch_latency".into(),
-            Json::uint(spec.switch_latency_cycles),
+            Json::uint(plan.dvs.switch_latency_cycles),
         ),
         (
             "degraded_mhz".into(),
-            match &spec.degraded_mhz {
+            match &plan.dvs.degraded_mhz {
                 Some(set) => Json::Arr(set.iter().map(|&f| Json::uint(f)).collect()),
                 None => Json::Null,
             },
         ),
-        ("abort_cost_us".into(), Json::uint(spec.abort_cost_us)),
-        ("jitter_us".into(), Json::uint(spec.arrival_jitter_us)),
+        (
+            "abort_cost_us".into(),
+            Json::uint(plan.timing.abort_cost.as_micros()),
+        ),
+        (
+            "jitter_us".into(),
+            Json::uint(plan.timing.arrival_jitter.as_micros()),
+        ),
     ])
 }
 
@@ -614,18 +618,16 @@ mod tests {
         let config = ChaosConfig::standard();
         for index in 0..config.cells {
             let plan = plan_cell(&config, index);
-            let faults = FaultSpec::from_plan(&plan.faults).expect("campaign plans lower");
-            assert_eq!(
-                faults.to_plan(),
-                plan.faults,
-                "cell {index}: to_plan drifts"
-            );
             let carrier = ScenarioSpec {
-                faults: Some(faults.clone()),
+                faults: Some(plan.faults.clone()),
                 ..case_from_chaos_cell(&config, &plan).expect("builds").spec
             };
             let reparsed = ScenarioSpec::parse(&carrier.render()).expect("parses");
-            assert_eq!(reparsed.faults, Some(faults), "cell {index}: text drifts");
+            assert_eq!(
+                reparsed.faults,
+                Some(plan.faults),
+                "cell {index}: text drifts"
+            );
         }
     }
 

@@ -80,17 +80,20 @@ where
 }
 
 /// [`parse_flag`] for a binary's `main`: a missing or malformed value
-/// prints the error and exits with status 2 (usage error).
+/// exits through [`usage_exit`].
 #[must_use]
 pub fn flag_or_exit<T>(args: &[String], flag: &str) -> Option<T>
 where
     T: FromStr,
     T::Err: Display,
 {
-    parse_flag(args, flag).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
+    parse_flag(args, flag).unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// Prints a usage error and exits with status 2.
+pub fn usage_exit(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 /// Resolves the worker-thread count from a binary's CLI arguments: the

@@ -35,7 +35,8 @@ pub use chaos::{
 };
 pub use chart::{render_chart, render_svg, Series};
 pub use experiment::{
-    flag_or_exit, jobs_from_args, parse_flag, run_cell, run_cells, Cell, ExperimentConfig,
+    flag_or_exit, jobs_from_args, parse_flag, run_cell, run_cells, usage_exit, Cell,
+    ExperimentConfig,
 };
 pub use json::Json;
 pub use report::{write_csv, Table};

@@ -18,7 +18,7 @@ use eua_sim::{map_parallel_settle, DegradationClass, FaultPlan, PoolError};
 use eua_workload::fig2_workload;
 
 use crate::json::Json;
-use crate::shrink::{campaign_platform, execute_case, fault_stanza, CaseRun, ShrinkCase};
+use crate::shrink::{campaign_platform, execute_case, CaseRun, ShrinkCase};
 
 /// The fixed workload seed (arrival patterns and declared statistics),
 /// shared with the figure binaries; run seeds vary per replication.
@@ -260,7 +260,7 @@ fn grid_cases(config: &RobustnessConfig) -> Result<Vec<(FaultFamily, f64, Shrink
     let mut cases = Vec::new();
     for &family in &FaultFamily::ALL {
         for &intensity in &config.intensities {
-            let faults = fault_stanza(&family.plan_at(intensity));
+            let faults = Some(family.plan_at(intensity)).filter(|f| !f.is_none());
             for policy in &config.policies {
                 for &seed in &config.seeds {
                     let case = ShrinkCase {
@@ -449,7 +449,6 @@ impl RobustnessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eua_analyze::scenario::FaultSpec;
     use eua_core::make_policy;
     use eua_sim::{Engine, Platform, SimConfig};
 
@@ -568,12 +567,8 @@ mod tests {
                 rendered,
                 "{cell}: render is not a fixpoint"
             );
-            let plan = case
-                .spec
-                .faults
-                .as_ref()
-                .map_or_else(FaultPlan::none, FaultSpec::to_plan);
-            assert_eq!(plan, family.plan_at(*intensity), "{cell}: to_plan drifts");
+            let plan = case.spec.faults.clone().unwrap_or_default();
+            assert_eq!(plan, family.plan_at(*intensity), "{cell}: plan drifts");
         }
     }
 

@@ -29,7 +29,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use eua_analyze::scenario::{EnergySpec, FaultSpec, ScenarioSpec};
+use eua_analyze::scenario::{EnergySpec, ScenarioSpec};
 use eua_core::make_policy;
 use eua_platform::{EnergySetting, TimeDelta};
 use eua_sim::{
@@ -97,20 +97,11 @@ pub(crate) fn campaign_platform() -> Platform {
     Platform::powernow(EnergySetting::e1())
 }
 
-/// The `faults` stanza a sweep cell carries for `plan`: none for the
-/// unfaulted plan, so an unfaulted case renders without a stanza.
-pub(crate) fn fault_stanza(plan: &FaultPlan) -> Option<FaultSpec> {
-    if plan.is_none() {
-        None
-    } else {
-        FaultSpec::from_plan(plan)
-    }
-}
-
 /// Builds a campaign cell as a case — the one definition of what a
 /// chaos cell runs. The cell's universe scenario is generated and
 /// lowered to its canonical spec at the campaign platform's `f_max`,
-/// with the sampled fault plan attached as a `faults` stanza.
+/// with the sampled fault plan attached as a `faults` stanza (none for
+/// an unfaulted plan, so such a case renders without one).
 ///
 /// # Errors
 ///
@@ -127,7 +118,7 @@ pub fn case_from_chaos_cell(config: &ChaosConfig, plan: &CellPlan) -> Result<Shr
         platform.table(),
         EnergySpec::e1(),
     )?;
-    spec.faults = fault_stanza(&plan.faults);
+    spec.faults = Some(plan.faults.clone()).filter(|f| !f.is_none());
     Ok(ShrinkCase {
         spec,
         policy: plan.policy.clone(),
@@ -164,11 +155,7 @@ pub(crate) struct CaseRun {
 /// invalid, or the engine rejects the run.
 pub(crate) fn run_case(case: &ShrinkCase, audit: bool) -> Result<CaseRun, String> {
     let workload = case.spec.to_workload()?;
-    let plan = case
-        .spec
-        .faults
-        .as_ref()
-        .map_or_else(FaultPlan::none, FaultSpec::to_plan);
+    let plan = case.spec.faults.clone().unwrap_or_default();
     plan.validate().map_err(|e| e.to_string())?;
     let mut policy =
         make_policy(&case.policy).unwrap_or_else(|| panic!("unknown policy {}", case.policy));
@@ -260,48 +247,38 @@ pub fn candidates(case: &ShrinkCase) -> Vec<ShrinkCase> {
         out.push(cand);
     }
     if let Some(faults) = &case.spec.faults {
-        let mut zeroed: Vec<FaultSpec> = Vec::new();
-        if faults.burst_extra > 0 {
-            let mut f = faults.clone();
-            f.burst_extra = 0;
-            zeroed.push(f);
-        }
-        if faults.demand_mean_factor != 1.0 {
-            let mut f = faults.clone();
-            f.demand_mean_factor = 1.0;
-            zeroed.push(f);
-        }
-        if faults.demand_spread != 0.0 {
-            let mut f = faults.clone();
-            f.demand_spread = 0.0;
-            zeroed.push(f);
-        }
-        if faults.switch_latency_cycles > 0 {
-            let mut f = faults.clone();
-            f.switch_latency_cycles = 0;
-            zeroed.push(f);
-        }
-        if faults.degraded_mhz.is_some() {
-            let mut f = faults.clone();
-            f.degraded_mhz = None;
-            zeroed.push(f);
-        }
-        if faults.abort_cost_us > 0 {
-            let mut f = faults.clone();
-            f.abort_cost_us = 0;
-            zeroed.push(f);
-        }
-        if faults.arrival_jitter_us > 0 {
-            let mut f = faults.clone();
-            f.arrival_jitter_us = 0;
-            zeroed.push(f);
-        }
-        for f in zeroed {
-            let mut cand = case.clone();
-            cand.spec.faults = Some(f);
-            out.push(cand);
-        }
-        if faults.to_plan().is_none() {
+        let mut zero = |active: bool, clear: fn(&mut FaultPlan)| {
+            if active {
+                let mut f = faults.clone();
+                clear(&mut f);
+                let mut cand = case.clone();
+                cand.spec.faults = Some(f);
+                out.push(cand);
+            }
+        };
+        zero(faults.uam.extra_per_window > 0, |f| {
+            f.uam.extra_per_window = 0
+        });
+        zero(faults.demand.mean_factor != 1.0, |f| {
+            f.demand.mean_factor = 1.0;
+        });
+        zero(faults.demand.spread != 0.0, |f| f.demand.spread = 0.0);
+        zero(faults.dvs.switch_latency_cycles > 0, |f| {
+            f.dvs.switch_latency_cycles = 0;
+        });
+        zero(faults.dvs.stuck_after.is_some(), |f| {
+            f.dvs.stuck_after = None
+        });
+        zero(faults.dvs.degraded_mhz.is_some(), |f| {
+            f.dvs.degraded_mhz = None
+        });
+        zero(!faults.timing.abort_cost.is_zero(), |f| {
+            f.timing.abort_cost = TimeDelta::ZERO;
+        });
+        zero(!faults.timing.arrival_jitter.is_zero(), |f| {
+            f.timing.arrival_jitter = TimeDelta::ZERO;
+        });
+        if faults.is_none() {
             let mut cand = case.clone();
             cand.spec.faults = None;
             out.push(cand);
@@ -428,7 +405,8 @@ pub fn case_from_repro_text(text: &str) -> Result<(ShrinkCase, FailureKind), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eua_analyze::scenario::{ArrivalSpec, DemandSpec, TaskSpec, TufSpec};
+    use eua_analyze::scenario::{ArrivalSpec, DemandSpec, TaskSpec};
+    use eua_sim::TufDecl;
 
     /// Three identical hopeless tasks: every job demands 50× what the
     /// platform can deliver before its termination, so every policy
@@ -436,10 +414,10 @@ mod tests {
     fn hopeless_case() -> ShrinkCase {
         let task = |k: usize| TaskSpec {
             name: format!("hopeless-{k}"),
-            tuf: TufSpec::Step {
+            tuf: TufDecl::Step {
                 umax: 10.0,
-                step_at_us: 10_000,
-                termination_us: 10_000,
+                step_at: TimeDelta::from_micros(10_000),
+                termination: TimeDelta::from_micros(10_000),
             },
             max_arrivals: 1.0,
             window_us: 10_000,
@@ -449,17 +427,17 @@ mod tests {
             declared_allocation: None,
             arrival: Some(ArrivalSpec::Burst),
         };
+        let mut faults = FaultPlan::none();
+        faults.uam.every_n_windows = 1;
+        faults.demand.mean_factor = 2.0;
+        faults.demand.spread = 0.25;
+        faults.timing.arrival_jitter = TimeDelta::from_micros(500);
         let spec = ScenarioSpec {
             name: "hopeless".into(),
             frequencies_mhz: vec![36, 55, 64, 73, 82, 91, 100],
             energy: EnergySpec::e1(),
             tasks: (0..3).map(task).collect(),
-            faults: Some(FaultSpec {
-                demand_mean_factor: 2.0,
-                demand_spread: 0.25,
-                arrival_jitter_us: 500,
-                ..FaultSpec::default()
-            }),
+            faults: Some(faults),
         };
         ShrinkCase {
             spec,

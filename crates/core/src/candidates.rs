@@ -249,18 +249,21 @@ impl ScheduleBuilder {
         // This loop is O(n²): each accepted insertion pays a `Vec` shift
         // plus the fused tail walk below. The known O(n log n) upgrade,
         // should sustained overload ever matter beyond the backlog bench
-        // (ROADMAP item 1's remaining headroom), rides on one invariant:
-        // insertion positions are partition points over the FIXED total
-        // order `(critical, id)`, which key-ordered consideration never
+        // (ROADMAP item 3), rides on one invariant: insertion positions
+        // are partition points over the FIXED total order
+        // `(critical, id)`, which key-ordered consideration never
         // changes. So pre-sort the candidates by `(critical, id)` once,
-        // giving every candidate a fixed position index, then keep two
-        // Fenwick trees over those positions — a presence/exec-sum tree
-        // answering "finish time before position p" (prefix sum of
-        // accepted execution times plus `now`), and a min-tree over
-        // per-entry slack answering the suffix-minimum feasibility probe.
-        // Acceptance flips one bit and two point-updates; the per-entry
-        // fields below (`finish`, `entry_slack`, `slack`) become queries
-        // instead of stored state, and the tail shift disappears. The
+        // giving every candidate a fixed position index, and keep two
+        // trees over those positions. A Fenwick prefix sum of accepted
+        // execution times answers "finish time before position p". The
+        // feasibility probe needs more than a Fenwick tree: accepting a
+        // job at position p lowers the slack of *every* later accepted
+        // entry by its execution time, so per-entry slack lives in a lazy
+        // segment tree with range-add plus range-min (+∞ at unaccepted
+        // positions), and the probe is a suffix minimum. Acceptance is
+        // one point-update plus one range-add; the per-entry fields
+        // below (`finish`, `entry_slack`, `slack`) become queries instead
+        // of stored state, and the tail shift disappears. The
         // guard test `overload_fallback_scaling_guard` (crates/bench,
         // `#[ignore]`d) pins today's quadratic scaling so that upgrade
         // has a measured baseline to beat.

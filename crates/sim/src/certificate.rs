@@ -129,6 +129,17 @@ impl TufDecl {
         }
     }
 
+    /// The shape's display name.
+    #[must_use]
+    pub fn shape_name(&self) -> &'static str {
+        match self {
+            TufDecl::Step { .. } => "step",
+            TufDecl::Linear { .. } => "linear",
+            TufDecl::Exponential { .. } => "exponential",
+            TufDecl::Piecewise { .. } => "piecewise",
+        }
+    }
+
     /// Raises the declaration back into an evaluable [`Tuf`].
     ///
     /// # Errors

@@ -24,10 +24,10 @@
 //! Case budget: `EUA_SOUNDNESS_CASES` (default 24; ci.sh smoke uses 8).
 
 use eua::analyze::{frequency_verdicts, lower, verdict_at_fmax, ScenarioSpec, Verdict};
-use eua::analyze::{DemandSpec, EnergySpec, TaskSpec, TufSpec};
+use eua::analyze::{DemandSpec, EnergySpec, TaskSpec};
 use eua::core::{demand_bound, EdfPolicy};
 use eua::platform::{EnergySetting, FrequencyTable, TimeDelta};
-use eua::sim::{map_parallel, Engine, Platform, SimConfig, TaskSet};
+use eua::sim::{map_parallel, Engine, Platform, SimConfig, TaskSet, TufDecl};
 use eua::uam::generator::ArrivalPattern;
 use proptest::prelude::*;
 
@@ -61,18 +61,18 @@ impl CaseTask {
     fn to_spec(&self, idx: usize) -> TaskSpec {
         let (tuf, nu) = if self.step {
             (
-                TufSpec::Step {
+                TufDecl::Step {
                     umax: self.umax,
-                    step_at_us: self.window_us,
-                    termination_us: self.window_us,
+                    step_at: TimeDelta::from_micros(self.window_us),
+                    termination: TimeDelta::from_micros(self.window_us),
                 },
                 1.0,
             )
         } else {
             (
-                TufSpec::Linear {
+                TufDecl::Linear {
                     umax: self.umax,
-                    termination_us: 2 * self.window_us,
+                    termination: TimeDelta::from_micros(2 * self.window_us),
                 },
                 0.5,
             )
