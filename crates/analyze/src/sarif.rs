@@ -128,12 +128,12 @@ pub fn render_sarif_with_regions(
             let mut logical = vec![(
                 "fullyQualifiedName".into(),
                 Json::Str(match &d.entity {
-                    Some(e) => format!("{}::{e}", report.scenario),
-                    None => report.scenario.clone(),
+                    Some(e) => format!("{}::{e}", report.scenario).into(),
+                    None => report.scenario.as_str().into(),
                 }),
             )];
             if let Some(e) = &d.entity {
-                logical.push(("name".into(), Json::Str(e.clone())));
+                logical.push(("name".into(), Json::Str(e.as_str().into())));
             }
             let mut location = Vec::new();
             if let Some(uri) = uri {
@@ -172,7 +172,7 @@ pub fn render_sarif_with_regions(
                 ("level".into(), Json::Str(level(d.severity).into())),
                 (
                     "message".into(),
-                    Json::Obj(vec![("text".into(), Json::Str(text))]),
+                    Json::Obj(vec![("text".into(), Json::Str(text.into()))]),
                 ),
                 ("locations".into(), Json::Arr(vec![Json::Obj(location)])),
             ];

@@ -59,7 +59,8 @@ fn golden_sarif_validates_and_round_trips() {
 /// finding at the `36` token on the frequencies line.
 #[test]
 fn regions_anchor_the_named_tokens() {
-    let doc = json::parse(&render_fixture_sarif()).expect("valid json");
+    let text = render_fixture_sarif();
+    let doc = json::parse(&text).expect("valid json");
     let results = doc.get("runs").and_then(Json::as_arr).expect("runs")[0]
         .get("results")
         .and_then(Json::as_arr)

@@ -8,6 +8,10 @@
 //! family (demand mis-estimation, DVS latency/stuck/degraded tables,
 //! abort costs) must still produce internally consistent certificates.
 //!
+//! Both properties also round-trip each certificate through its text:
+//! `parse(render(cert))` must return `cert`, and auditing the text must
+//! report the same codes as auditing the value.
+//!
 //! The case count defaults to 24 per property and can be overridden via
 //! the `EUA_AUDIT_CASES` environment variable (ci.sh runs a reduced
 //! budget).
@@ -18,10 +22,11 @@ use std::collections::BTreeSet;
 
 use common::{bridge, run_certified_with_faults};
 use eua_analyze::shipped_scenarios;
-use eua_audit::audit;
+use eua_analyze::Report;
+use eua_audit::{audit, audit_text};
 use eua_core::make_policy;
 use eua_platform::TimeDelta;
-use eua_sim::FaultPlan;
+use eua_sim::{FaultPlan, RunCertificate};
 use proptest::prelude::*;
 
 fn audit_cases() -> u32 {
@@ -41,6 +46,17 @@ fn predicted_codes(plan: &FaultPlan) -> BTreeSet<&'static str> {
         codes.insert("aud-uam-violation");
     }
     codes
+}
+
+/// Audits a certificate both ways — typed, and through its text — and
+/// asserts that the text round-trips to the same value and that both
+/// audits report the same codes.
+fn audit_both_ways(cert: &RunCertificate) -> Result<Report, TestCaseError> {
+    let text = cert.render();
+    prop_assert_eq!(RunCertificate::parse(&text), Ok(cert.clone()));
+    let report = audit(cert);
+    prop_assert_eq!(audit_text("text", &text).codes(), report.codes());
+    Ok(report)
 }
 
 /// A small curated plan space: one representative per fault family plus
@@ -109,7 +125,7 @@ proptest! {
         let cert = run_certified_with_faults(
             &tasks, &patterns, &platform, &mut policy, seed, &FaultPlan::none(),
         );
-        let report = audit(&cert);
+        let report = audit_both_ways(&cert)?;
         prop_assert!(
             !report.has_errors(),
             "`{}` under `{policy_name}` seed {seed}:\n{}",
@@ -135,7 +151,7 @@ proptest! {
         let cert = run_certified_with_faults(
             &tasks, &patterns, &platform, &mut policy, seed, &plan,
         );
-        let report = audit(&cert);
+        let report = audit_both_ways(&cert)?;
         let predicted = predicted_codes(&plan);
         for code in report.codes() {
             prop_assert!(

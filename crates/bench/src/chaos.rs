@@ -23,6 +23,7 @@
 //! and all failing cells are shrink candidates for
 //! [`crate::shrink`].
 
+use std::borrow::Cow;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -194,7 +195,7 @@ pub fn unexpected_audit_errors(report: &Report, plan: &FaultPlan) -> u64 {
         .count() as u64
 }
 
-fn fault_json(plan: &FaultPlan) -> Json {
+fn fault_json(plan: &FaultPlan) -> Json<'static> {
     // Campaign plans never set `stuck_after`, so the record omits it.
     Json::Obj(vec![
         (
@@ -232,7 +233,7 @@ fn fault_json(plan: &FaultPlan) -> Json {
 /// Builds a cell's journal record from its settled pool slot. A
 /// panicked slot grades as `collapsed` with the panic message attached
 /// — the worst a cell can do, and a first-class shrink candidate.
-fn cell_record(plan: &CellPlan, outcome: &Result<CaseRun, PoolError>) -> Json {
+fn cell_record(plan: &CellPlan, outcome: &Result<CaseRun, PoolError>) -> Json<'static> {
     let (grade, ratio, audit_errors, panic_msg) = match outcome {
         Ok(o) => (
             o.grade.as_str(),
@@ -240,9 +241,12 @@ fn cell_record(plan: &CellPlan, outcome: &Result<CaseRun, PoolError>) -> Json {
             o.audit_errors,
             Json::Null,
         ),
-        Err(PoolError::WorkerPanic { message, .. }) => {
-            ("collapsed", Json::Null, 0, Json::Str(message.clone()))
-        }
+        Err(PoolError::WorkerPanic { message, .. }) => (
+            "collapsed",
+            Json::Null,
+            0,
+            Json::Str(message.clone().into()),
+        ),
     };
     Json::Obj(vec![
         ("cell".into(), Json::uint(u64::from(plan.index))),
@@ -251,7 +255,7 @@ fn cell_record(plan: &CellPlan, outcome: &Result<CaseRun, PoolError>) -> Json {
             "universe_cell".into(),
             Json::uint(u64::from(plan.universe_cell)),
         ),
-        ("policy".into(), Json::Str(plan.policy.clone())),
+        ("policy".into(), Json::Str(plan.policy.clone().into())),
         ("seed".into(), Json::uint(plan.run_seed)),
         ("faults".into(), fault_json(&plan.faults)),
         ("grade".into(), Json::Str(grade.into())),
@@ -264,7 +268,7 @@ fn cell_record(plan: &CellPlan, outcome: &Result<CaseRun, PoolError>) -> Json {
 /// The journal's header value: everything that determines cell
 /// content. Resume refuses a journal whose header line differs.
 #[must_use]
-pub fn journal_header(config: &ChaosConfig) -> Json {
+pub fn journal_header(config: &ChaosConfig) -> Json<'_> {
     Json::Obj(vec![
         ("schema".into(), Json::Str(JOURNAL_SCHEMA.into())),
         ("master_seed".into(), Json::uint(config.master_seed)),
@@ -277,7 +281,7 @@ pub fn journal_header(config: &ChaosConfig) -> Json {
                 config
                     .policies
                     .iter()
-                    .map(|p| Json::Str(p.clone()))
+                    .map(|p| Json::Str(p.as_str().into()))
                     .collect(),
             ),
         ),
@@ -315,7 +319,7 @@ pub fn record_is_failing(record: &Json) -> bool {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOutcome {
     /// All records journaled so far, in cell order.
-    pub records: Vec<Json>,
+    pub records: Vec<Json<'static>>,
     /// `true` when `halt_after` stopped the run before the last cell.
     pub halted: bool,
 }
@@ -348,7 +352,7 @@ pub fn run_campaign(
         return Err("campaign needs at least one policy".into());
     }
     let header = journal_header(config).render_compact();
-    let mut records: Vec<Json> = Vec::new();
+    let mut records: Vec<Json<'static>> = Vec::new();
     if resume {
         let text = fs::read_to_string(journal)
             .map_err(|e| format!("cannot read journal {}: {e}", journal.display()))?;
@@ -372,7 +376,7 @@ pub fn run_campaign(
                     i + 2
                 ));
             }
-            records.push(record);
+            records.push(record.into_owned());
         }
         if records.len() > config.cells as usize {
             return Err(format!(
@@ -444,7 +448,7 @@ pub fn run_campaign(
 /// nothing else, so an interrupted-then-resumed campaign reports the
 /// same bytes as an uninterrupted one.
 #[must_use]
-pub fn campaign_report(config: &ChaosConfig, records: &[Json]) -> Json {
+pub fn campaign_report<'a>(config: &'a ChaosConfig, records: &'a [Json<'a>]) -> Json<'a> {
     struct Counts {
         cells: u64,
         met: u64,
@@ -478,7 +482,7 @@ pub fn campaign_report(config: &ChaosConfig, records: &[Json]) -> Json {
                 self.audit_failures += 1;
             }
         }
-        fn fields(&self) -> Vec<(String, Json)> {
+        fn fields(&self) -> Vec<(Cow<'static, str>, Json<'static>)> {
             vec![
                 ("cells".into(), Json::uint(self.cells)),
                 ("met".into(), Json::uint(self.met)),
@@ -522,7 +526,7 @@ pub fn campaign_report(config: &ChaosConfig, records: &[Json]) -> Json {
                     counts.add(record);
                 }
             }
-            let mut fields = vec![("policy".into(), Json::Str(policy.clone()))];
+            let mut fields = vec![("policy".into(), Json::Str(policy.as_str().into()))];
             fields.extend(counts.fields());
             Json::Obj(fields)
         })
@@ -542,7 +546,7 @@ pub fn campaign_report(config: &ChaosConfig, records: &[Json]) -> Json {
                 config
                     .policies
                     .iter()
-                    .map(|p| Json::Str(p.clone()))
+                    .map(|p| Json::Str(p.as_str().into()))
                     .collect(),
             ),
         ),

@@ -383,7 +383,7 @@ impl RobustnessReport {
     /// document (see [`crate::json`]; re-parsing and re-rendering the
     /// output reproduces it byte-for-byte).
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub fn to_json(&self) -> Json<'_> {
         let mut families = Vec::new();
         for &family in &FaultFamily::ALL {
             let mut points_json = Vec::new();
@@ -395,7 +395,7 @@ impl RobustnessReport {
                     .filter(|p| p.family == family && p.intensity == intensity)
                 {
                     policies_json.push(Json::Obj(vec![
-                        ("policy".into(), Json::Str(point.policy.clone())),
+                        ("policy".into(), Json::Str(point.policy.as_str().into())),
                         ("utility".into(), Json::num(point.utility)),
                         ("energy".into(), Json::num(point.energy)),
                         ("uer".into(), Json::num(point.uer)),
@@ -437,7 +437,7 @@ impl RobustnessReport {
                 Json::Arr(
                     self.panic_cells
                         .iter()
-                        .map(|c| Json::Str(c.clone()))
+                        .map(|c| Json::Str(c.as_str().into()))
                         .collect(),
                 ),
             ),

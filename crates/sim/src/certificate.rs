@@ -11,16 +11,16 @@
 //! declaration, and the certified arrival stream — so `eua-audit` (the
 //! independent checker in `crates/audit`) needs nothing but the file.
 //!
-//! Serialization goes through the first-party [`crate::json`] tree, so
-//! certificates byte-round-trip (`render(parse(s)) == s`) and two runs
-//! producing equal certificates render to identical bytes.
+//! [`RunCertificate::render`] streams through `json::Writer`,
+//! the layout writer `Json::render` also uses, and `parse` reads the
+//! borrowing [`crate::json`] tree, so text round-trips byte for byte.
 
 use eua_platform::{Cycles, Frequency, SimTime, TimeDelta};
 use eua_tuf::Tuf;
 
 use crate::context::{JobView, SchedEvent};
 use crate::ids::{JobId, TaskId};
-use crate::json::{parse as json_parse, Json};
+use crate::json::{parse as json_parse, Json, Writer};
 use crate::task::Task;
 
 /// The format tag pinned into every certificate this module writes.
@@ -378,163 +378,108 @@ pub struct RunCertificate {
 // Serialization.
 // ---------------------------------------------------------------------
 
-fn time_json(t: SimTime) -> Json {
-    Json::uint(t.as_micros())
-}
-
-fn delta_json(d: TimeDelta) -> Json {
-    Json::uint(d.as_micros())
-}
-
-impl TufDecl {
-    fn to_json(&self) -> Json {
-        match self {
-            TufDecl::Step {
-                umax,
-                step_at,
-                termination,
-            } => Json::Obj(vec![
-                ("shape".into(), Json::Str("step".into())),
-                ("umax".into(), Json::num(*umax)),
-                ("step_at_us".into(), delta_json(*step_at)),
-                ("termination_us".into(), delta_json(*termination)),
-            ]),
-            TufDecl::Linear { umax, termination } => Json::Obj(vec![
-                ("shape".into(), Json::Str("linear".into())),
-                ("umax".into(), Json::num(*umax)),
-                ("termination_us".into(), delta_json(*termination)),
-            ]),
-            TufDecl::Exponential {
-                umax,
-                tau,
-                termination,
-            } => Json::Obj(vec![
-                ("shape".into(), Json::Str("exponential".into())),
-                ("umax".into(), Json::num(*umax)),
-                ("tau_us".into(), delta_json(*tau)),
-                ("termination_us".into(), delta_json(*termination)),
-            ]),
-            TufDecl::Piecewise { points } => Json::Obj(vec![
-                ("shape".into(), Json::Str("piecewise".into())),
-                (
-                    "points".into(),
-                    Json::Arr(
-                        points
-                            .iter()
-                            .map(|&(t, u)| Json::Arr(vec![delta_json(t), Json::num(u)]))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        }
-    }
-}
-
-fn trigger_json(event: SchedEvent) -> Json {
-    let (kind, job) = match event {
-        SchedEvent::Start => ("start", None),
-        SchedEvent::Arrival => ("arrival", None),
-        SchedEvent::Completion(j) => ("completion", Some(j)),
-        SchedEvent::Abort(j) => ("abort", Some(j)),
-    };
-    let mut fields = vec![("kind".into(), Json::Str(kind.into()))];
-    if let Some(j) = job {
-        fields.push(("job".into(), Json::uint(j.0)));
-    }
-    Json::Obj(fields)
-}
-
 impl RunCertificate {
-    /// Lowers the certificate into the first-party JSON tree.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let (s3, s2, s1_rel, s0_rel) = self.energy_rel;
-        Json::Obj(vec![
-            ("format".into(), Json::Str(CERT_FORMAT.into())),
-            ("policy".into(), Json::Str(self.policy.clone())),
-            ("seed".into(), Json::uint(self.seed)),
-            ("horizon_us".into(), delta_json(self.horizon)),
-            (
-                "frequencies_mhz".into(),
-                Json::Arr(
-                    self.frequencies_mhz
-                        .iter()
-                        .map(|&m| Json::uint(m))
-                        .collect(),
-                ),
-            ),
-            (
-                "policy_frequencies_mhz".into(),
-                Json::Arr(
-                    self.policy_frequencies_mhz
-                        .iter()
-                        .map(|&m| Json::uint(m))
-                        .collect(),
-                ),
-            ),
-            (
-                "energy".into(),
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(self.energy_name.clone())),
-                    ("s3".into(), Json::num(s3)),
-                    ("s2".into(), Json::num(s2)),
-                    ("s1_rel".into(), Json::num(s1_rel)),
-                    ("s0_rel".into(), Json::num(s0_rel)),
-                ]),
-            ),
-            ("idle_power".into(), Json::num(self.idle_power)),
-            (
-                "tasks".into(),
-                Json::Arr(
-                    self.tasks
-                        .iter()
-                        .map(|t| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(t.name.clone())),
-                                ("tuf".into(), t.tuf.to_json()),
-                                ("max_arrivals".into(), Json::uint(u64::from(t.max_arrivals))),
-                                ("window_us".into(), delta_json(t.window)),
-                                ("allocation_cycles".into(), Json::uint(t.allocation.get())),
-                                ("critical_offset_us".into(), delta_json(t.critical_offset)),
-                                (
-                                    "termination_offset_us".into(),
-                                    delta_json(t.termination_offset),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "arrivals".into(),
-                Json::Arr(
-                    self.arrivals
-                        .iter()
-                        .map(|&(t, task)| {
-                            Json::Obj(vec![
-                                ("at_us".into(), time_json(t)),
-                                ("task".into(), Json::uint(task as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "events".into(),
-                Json::Arr(self.events.iter().map(event_json).collect()),
-            ),
-            (
-                "charges".into(),
-                Json::Arr(self.charges.iter().map(charge_json).collect()),
-            ),
-            ("final_energy".into(), Json::num(self.final_energy)),
-        ])
-    }
-
-    /// Renders the certificate as deterministic pretty-printed JSON.
+    /// Renders the certificate as deterministic pretty-printed JSON,
+    /// written field by field into one pre-sized buffer (no tree).
     #[must_use]
     pub fn render(&self) -> String {
-        self.to_json().render()
+        // A little more than the pretty layout spends per row: an event's
+        // own fields, a ready job, and its UER and schedule entries.
+        let rows: usize = self
+            .events
+            .iter()
+            .map(|e| 1 + e.ready.len() * (1 + 2 * usize::from(e.explanation.is_some())))
+            .sum();
+        let mut out = String::with_capacity(256 * (rows + self.charges.len()));
+        let mut w = Writer::pretty(&mut out);
+        w.begin_obj();
+        w.key("format").str(CERT_FORMAT);
+        w.key("policy").str(&self.policy);
+        w.key("seed").uint(self.seed);
+        w.key("horizon_us").uint(self.horizon.as_micros());
+        uint_arr(w.key("frequencies_mhz"), &self.frequencies_mhz);
+        uint_arr(
+            w.key("policy_frequencies_mhz"),
+            &self.policy_frequencies_mhz,
+        );
+        let (s3, s2, s1_rel, s0_rel) = self.energy_rel;
+        w.key("energy").begin_obj();
+        w.key("name").str(&self.energy_name);
+        w.key("s3").num(s3);
+        w.key("s2").num(s2);
+        w.key("s1_rel").num(s1_rel);
+        w.key("s0_rel").num(s0_rel);
+        w.end_obj();
+        w.key("idle_power").num(self.idle_power);
+        w.key("tasks").begin_arr();
+        for t in &self.tasks {
+            w.begin_obj().key("name").str(&t.name);
+            w.key("tuf").begin_obj();
+            w.key("shape").str(t.tuf.shape_name());
+            match &t.tuf {
+                TufDecl::Step { umax, step_at, .. } => {
+                    w.key("umax").num(*umax);
+                    w.key("step_at_us").uint(step_at.as_micros());
+                }
+                TufDecl::Linear { umax, .. } => {
+                    w.key("umax").num(*umax);
+                }
+                TufDecl::Exponential { umax, tau, .. } => {
+                    w.key("umax").num(*umax);
+                    w.key("tau_us").uint(tau.as_micros());
+                }
+                TufDecl::Piecewise { points } => {
+                    w.key("points").begin_arr();
+                    for &(t, u) in points {
+                        w.begin_arr().uint(t.as_micros()).num(u).end_arr();
+                    }
+                    w.end_arr();
+                }
+            }
+            match &t.tuf {
+                TufDecl::Step { termination, .. }
+                | TufDecl::Linear { termination, .. }
+                | TufDecl::Exponential { termination, .. } => {
+                    w.key("termination_us").uint(termination.as_micros());
+                }
+                TufDecl::Piecewise { .. } => {}
+            }
+            w.end_obj();
+            w.key("max_arrivals").uint(u64::from(t.max_arrivals));
+            w.key("window_us").uint(t.window.as_micros());
+            w.key("allocation_cycles").uint(t.allocation.get());
+            w.key("critical_offset_us")
+                .uint(t.critical_offset.as_micros());
+            w.key("termination_offset_us")
+                .uint(t.termination_offset.as_micros());
+            w.end_obj();
+        }
+        w.end_arr();
+        w.key("arrivals").begin_arr();
+        for &(t, task) in &self.arrivals {
+            w.begin_obj().key("at_us").uint(t.as_micros());
+            w.key("task").uint(task as u64).end_obj();
+        }
+        w.end_arr();
+        w.key("events").begin_arr();
+        for e in &self.events {
+            write_event(&mut w, e);
+        }
+        w.end_arr();
+        w.key("charges").begin_arr();
+        for c in &self.charges {
+            w.begin_obj().key("at_us").uint(c.at.as_micros());
+            w.key("kind").str(c.kind.as_str());
+            w.key("frequency_mhz").uint(c.frequency_mhz);
+            w.key("cycles").uint(c.cycles.get());
+            w.key("micros").uint(c.micros);
+            w.key("energy").num(c.energy).end_obj();
+        }
+        w.end_arr();
+        w.key("final_energy").num(self.final_energy);
+        w.end_obj();
+        out.push('\n');
+        out
     }
 
     /// Parses a rendered certificate.
@@ -553,7 +498,7 @@ impl RunCertificate {
         Ok(RunCertificate {
             policy: str_field(&doc, "policy")?,
             seed: u64_field(&doc, "seed")?,
-            horizon: TimeDelta::from_micros(u64_field(&doc, "horizon_us")?),
+            horizon: delta_field(&doc, "horizon_us")?,
             frequencies_mhz: u64_arr(&doc, "frequencies_mhz")?,
             policy_frequencies_mhz: u64_arr(&doc, "policy_frequencies_mhz")?,
             energy_name: str_field(energy, "name")?,
@@ -564,264 +509,225 @@ impl RunCertificate {
                 f64_field(energy, "s0_rel")?,
             ),
             idle_power: f64_field(&doc, "idle_power")?,
-            tasks: arr_field(&doc, "tasks")?
-                .iter()
-                .map(parse_task)
-                .collect::<Result<_, _>>()?,
-            arrivals: arr_field(&doc, "arrivals")?
-                .iter()
-                .map(|a| {
-                    Ok::<_, String>((
-                        SimTime::from_micros(u64_field(a, "at_us")?),
-                        u64_field(a, "task")? as usize,
-                    ))
-                })
-                .collect::<Result<_, _>>()?,
-            events: arr_field(&doc, "events")?
-                .iter()
-                .map(parse_event)
-                .collect::<Result<_, _>>()?,
-            charges: arr_field(&doc, "charges")?
-                .iter()
-                .map(parse_charge)
-                .collect::<Result<_, _>>()?,
+            tasks: list(&doc, "tasks", parse_task)?,
+            arrivals: list(&doc, "arrivals", |a| {
+                Ok((time_field(a, "at_us")?, u64_field(a, "task")? as usize))
+            })?,
+            events: list(&doc, "events", parse_event)?,
+            charges: list(&doc, "charges", parse_charge)?,
             final_energy: f64_field(&doc, "final_energy")?,
         })
     }
 }
 
-fn event_json(e: &EventRecord) -> Json {
-    Json::Obj(vec![
-        ("at_us".into(), time_json(e.at)),
-        ("trigger".into(), trigger_json(e.trigger)),
-        (
-            "ready".into(),
-            Json::Arr(
-                e.ready
-                    .iter()
-                    .map(|j| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(j.job.0)),
-                            ("task".into(), Json::uint(j.task.0 as u64)),
-                            ("arrival_us".into(), time_json(j.arrival)),
-                            ("critical_us".into(), time_json(j.critical)),
-                            ("termination_us".into(), time_json(j.termination)),
-                            ("remaining_cycles".into(), Json::uint(j.remaining.get())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("run".into(), e.run.map_or(Json::Null, |j| Json::uint(j.0))),
-        ("frequency_mhz".into(), Json::uint(e.frequency.as_mhz())),
-        (
-            "aborts".into(),
-            Json::Arr(e.aborts.iter().map(|j| Json::uint(j.0)).collect()),
-        ),
-        (
-            "explanation".into(),
-            e.explanation.as_ref().map_or(Json::Null, explanation_json),
-        ),
-    ])
+fn uint_arr<'v>(w: &mut Writer<'_>, items: impl IntoIterator<Item = &'v u64>) {
+    w.begin_arr();
+    for &v in items {
+        w.uint(v);
+    }
+    w.end_arr();
 }
 
-fn explanation_json(x: &DecisionExplanation) -> Json {
-    Json::Obj(vec![
-        (
-            "uer".into(),
-            Json::Arr(
-                x.uer
-                    .iter()
-                    .map(|u| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(u.job.0)),
-                            ("uer".into(), Json::num(u.uer)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "schedule".into(),
-            Json::Arr(
-                x.schedule
-                    .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(s.job.0)),
-                            ("finish_us".into(), time_json(s.predicted_finish)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "aborts".into(),
-            Json::Arr(
-                x.aborts
-                    .iter()
-                    .map(|a| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::uint(a.job.0)),
-                            ("remaining_cycles".into(), Json::uint(a.remaining.get())),
-                            ("termination_us".into(), time_json(a.termination)),
-                            ("predicted_finish_us".into(), time_json(a.predicted_finish)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "dvs".into(),
-            x.dvs.as_ref().map_or(Json::Null, |d| {
-                Json::Obj(vec![
-                    ("required_speed".into(), Json::num(d.required_speed)),
-                    ("must_run_cycles".into(), Json::num(d.must_run_cycles)),
-                    (
-                        "earliest_critical_us".into(),
-                        d.earliest_critical.map_or(Json::Null, time_json),
-                    ),
-                    (
-                        "clamp_mhz".into(),
-                        d.clamp.map_or(Json::Null, |f| Json::uint(f.as_mhz())),
-                    ),
-                ])
-            }),
-        ),
-        ("skip_infeasible".into(), Json::Bool(x.skip_infeasible)),
-    ])
+fn opt_uint(w: &mut Writer<'_>, v: Option<u64>) {
+    match v {
+        Some(v) => w.uint(v),
+        None => w.null(),
+    };
 }
 
-fn charge_json(c: &ChargeRecord) -> Json {
-    Json::Obj(vec![
-        ("at_us".into(), time_json(c.at)),
-        ("kind".into(), Json::Str(c.kind.as_str().into())),
-        ("frequency_mhz".into(), Json::uint(c.frequency_mhz)),
-        ("cycles".into(), Json::uint(c.cycles.get())),
-        ("micros".into(), Json::uint(c.micros)),
-        ("energy".into(), Json::num(c.energy)),
-    ])
+fn write_event(w: &mut Writer<'_>, e: &EventRecord) {
+    w.begin_obj();
+    w.key("at_us").uint(e.at.as_micros());
+    let (kind, job) = match e.trigger {
+        SchedEvent::Start => ("start", None),
+        SchedEvent::Arrival => ("arrival", None),
+        SchedEvent::Completion(j) => ("completion", Some(j)),
+        SchedEvent::Abort(j) => ("abort", Some(j)),
+    };
+    w.key("trigger").begin_obj().key("kind").str(kind);
+    if let Some(j) = job {
+        w.key("job").uint(j.0);
+    }
+    w.end_obj();
+    w.key("ready").begin_arr();
+    for j in &e.ready {
+        w.begin_obj().key("job").uint(j.job.0);
+        w.key("task").uint(j.task.0 as u64);
+        w.key("arrival_us").uint(j.arrival.as_micros());
+        w.key("critical_us").uint(j.critical.as_micros());
+        w.key("termination_us").uint(j.termination.as_micros());
+        w.key("remaining_cycles").uint(j.remaining.get()).end_obj();
+    }
+    w.end_arr();
+    opt_uint(w.key("run"), e.run.map(|j| j.0));
+    w.key("frequency_mhz").uint(e.frequency.as_mhz());
+    uint_arr(w.key("aborts"), e.aborts.iter().map(|j| &j.0));
+    w.key("explanation");
+    let Some(x) = &e.explanation else {
+        w.null().end_obj();
+        return;
+    };
+    w.begin_obj().key("uer").begin_arr();
+    for u in &x.uer {
+        w.begin_obj().key("job").uint(u.job.0);
+        w.key("uer").num(u.uer).end_obj();
+    }
+    w.end_arr().key("schedule").begin_arr();
+    for s in &x.schedule {
+        w.begin_obj().key("job").uint(s.job.0);
+        w.key("finish_us")
+            .uint(s.predicted_finish.as_micros())
+            .end_obj();
+    }
+    w.end_arr().key("aborts").begin_arr();
+    for a in &x.aborts {
+        w.begin_obj().key("job").uint(a.job.0);
+        w.key("remaining_cycles").uint(a.remaining.get());
+        w.key("termination_us").uint(a.termination.as_micros());
+        w.key("predicted_finish_us")
+            .uint(a.predicted_finish.as_micros());
+        w.end_obj();
+    }
+    w.end_arr().key("dvs");
+    match &x.dvs {
+        None => {
+            w.null();
+        }
+        Some(d) => {
+            w.begin_obj().key("required_speed").num(d.required_speed);
+            w.key("must_run_cycles").num(d.must_run_cycles);
+            opt_uint(
+                w.key("earliest_critical_us"),
+                d.earliest_critical.map(SimTime::as_micros),
+            );
+            opt_uint(w.key("clamp_mhz"), d.clamp.map(Frequency::as_mhz));
+            w.end_obj();
+        }
+    }
+    w.key("skip_infeasible").bool(x.skip_infeasible);
+    w.end_obj().end_obj();
 }
 
 // ---------------------------------------------------------------------
 // Parsing.
 // ---------------------------------------------------------------------
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
+fn str_field(v: &Json<'_>, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(Json::as_str)
         .map(String::from)
         .ok_or_else(|| format!("missing or non-string `{key}`"))
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
+/// The number under `key`; `what` names its type in the error.
+fn num_field<T: std::str::FromStr>(v: &Json<'_>, key: &str, what: &str) -> Result<T, String> {
     match v.get(key) {
         Some(Json::Num(n)) => n
-            .parse::<u64>()
-            .map_err(|_| format!("`{key}` is not an unsigned integer: {n:?}")),
+            .parse()
+            .map_err(|_| format!("`{key}` is not {what}: {n:?}")),
         _ => Err(format!("missing or non-numeric `{key}`")),
     }
 }
 
-fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Json::Num(n)) => n
-            .parse::<f64>()
-            .map_err(|_| format!("`{key}` is not a number: {n:?}")),
-        _ => Err(format!("missing or non-numeric `{key}`")),
-    }
+fn u64_field(v: &Json<'_>, key: &str) -> Result<u64, String> {
+    num_field(v, key, "an unsigned integer")
 }
 
-fn opt_u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
+fn f64_field(v: &Json<'_>, key: &str) -> Result<f64, String> {
+    num_field(v, key, "a number")
+}
+
+fn time_field(v: &Json<'_>, key: &str) -> Result<SimTime, String> {
+    u64_field(v, key).map(SimTime::from_micros)
+}
+
+fn delta_field(v: &Json<'_>, key: &str) -> Result<TimeDelta, String> {
+    u64_field(v, key).map(TimeDelta::from_micros)
+}
+
+fn opt_u64_field(v: &Json<'_>, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         Some(Json::Null) | None => Ok(None),
-        Some(Json::Num(n)) => n
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("`{key}` is not an unsigned integer: {n:?}")),
+        Some(Json::Num(_)) => u64_field(v, key).map(Some),
         _ => Err(format!("non-numeric `{key}`")),
     }
 }
 
-fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+/// Parses every item of the array under `key`.
+fn list<T>(
+    v: &Json<'_>,
+    key: &str,
+    item: impl FnMut(&Json<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
     v.get(key)
         .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array `{key}`"))
-}
-
-fn u64_arr(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-    arr_field(v, key)?
+        .ok_or_else(|| format!("missing or non-array `{key}`"))?
         .iter()
-        .map(|e| match e {
-            Json::Num(n) => n
-                .parse::<u64>()
-                .map_err(|_| format!("`{key}` entry is not an unsigned integer: {n:?}")),
-            _ => Err(format!("non-numeric `{key}` entry")),
-        })
+        .map(item)
         .collect()
 }
 
-fn parse_task(v: &Json) -> Result<TaskDecl, String> {
+fn u64_arr(v: &Json<'_>, key: &str) -> Result<Vec<u64>, String> {
+    list(v, key, |e| match e {
+        Json::Num(n) => n
+            .parse::<u64>()
+            .map_err(|_| format!("`{key}` entry is not an unsigned integer: {n:?}")),
+        _ => Err(format!("non-numeric `{key}` entry")),
+    })
+}
+
+fn parse_task(v: &Json<'_>) -> Result<TaskDecl, String> {
     Ok(TaskDecl {
         name: str_field(v, "name")?,
         tuf: parse_tuf(v.get("tuf").ok_or("missing task tuf")?)?,
         max_arrivals: u32::try_from(u64_field(v, "max_arrivals")?)
             .map_err(|_| "max_arrivals out of range".to_string())?,
-        window: TimeDelta::from_micros(u64_field(v, "window_us")?),
+        window: delta_field(v, "window_us")?,
         allocation: Cycles::new(u64_field(v, "allocation_cycles")?),
-        critical_offset: TimeDelta::from_micros(u64_field(v, "critical_offset_us")?),
-        termination_offset: TimeDelta::from_micros(u64_field(v, "termination_offset_us")?),
+        critical_offset: delta_field(v, "critical_offset_us")?,
+        termination_offset: delta_field(v, "termination_offset_us")?,
     })
 }
 
-fn parse_tuf(v: &Json) -> Result<TufDecl, String> {
-    let shape = str_field(v, "shape")?;
-    match shape.as_str() {
+fn parse_tuf(v: &Json<'_>) -> Result<TufDecl, String> {
+    match str_field(v, "shape")?.as_str() {
         "step" => Ok(TufDecl::Step {
             umax: f64_field(v, "umax")?,
-            step_at: TimeDelta::from_micros(u64_field(v, "step_at_us")?),
-            termination: TimeDelta::from_micros(u64_field(v, "termination_us")?),
+            step_at: delta_field(v, "step_at_us")?,
+            termination: delta_field(v, "termination_us")?,
         }),
         "linear" => Ok(TufDecl::Linear {
             umax: f64_field(v, "umax")?,
-            termination: TimeDelta::from_micros(u64_field(v, "termination_us")?),
+            termination: delta_field(v, "termination_us")?,
         }),
         "exponential" => Ok(TufDecl::Exponential {
             umax: f64_field(v, "umax")?,
-            tau: TimeDelta::from_micros(u64_field(v, "tau_us")?),
-            termination: TimeDelta::from_micros(u64_field(v, "termination_us")?),
+            tau: delta_field(v, "tau_us")?,
+            termination: delta_field(v, "termination_us")?,
         }),
-        "piecewise" => {
-            let points = arr_field(v, "points")?
-                .iter()
-                .map(|p| {
-                    let pair = p.as_arr().ok_or("piecewise point is not a pair")?;
-                    let [t, u] = pair else {
-                        return Err("piecewise point is not a pair".to_string());
-                    };
-                    let Json::Num(tn) = t else {
-                        return Err("piecewise offset is not a number".to_string());
-                    };
-                    let Json::Num(un) = u else {
-                        return Err("piecewise utility is not a number".to_string());
-                    };
-                    Ok((
-                        TimeDelta::from_micros(
-                            tn.parse::<u64>().map_err(|_| "bad piecewise offset")?,
-                        ),
-                        un.parse::<f64>().map_err(|_| "bad piecewise utility")?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?;
-            Ok(TufDecl::Piecewise { points })
-        }
+        "piecewise" => Ok(TufDecl::Piecewise {
+            points: list(v, "points", |p| {
+                let Some([t, u]) = p.as_arr() else {
+                    return Err("piecewise point is not a pair".to_string());
+                };
+                let Json::Num(t) = t else {
+                    return Err("piecewise offset is not a number".to_string());
+                };
+                let Json::Num(u) = u else {
+                    return Err("piecewise utility is not a number".to_string());
+                };
+                Ok((
+                    TimeDelta::from_micros(t.parse().map_err(|_| "bad piecewise offset")?),
+                    u.parse().map_err(|_| "bad piecewise utility")?,
+                ))
+            })?,
+        }),
         other => Err(format!("unknown tuf shape {other:?}")),
     }
 }
 
-fn parse_trigger(v: &Json) -> Result<SchedEvent, String> {
-    let kind = str_field(v, "kind")?;
-    match kind.as_str() {
+fn parse_trigger(v: &Json<'_>) -> Result<SchedEvent, String> {
+    match str_field(v, "kind")?.as_str() {
         "start" => Ok(SchedEvent::Start),
         "arrival" => Ok(SchedEvent::Arrival),
         "completion" => Ok(SchedEvent::Completion(JobId(u64_field(v, "job")?))),
@@ -830,39 +736,33 @@ fn parse_trigger(v: &Json) -> Result<SchedEvent, String> {
     }
 }
 
-fn parse_event(v: &Json) -> Result<EventRecord, String> {
+fn parse_event(v: &Json<'_>) -> Result<EventRecord, String> {
     let frequency_mhz = u64_field(v, "frequency_mhz")?;
     if frequency_mhz == 0 {
         return Err("event frequency_mhz must be positive".into());
     }
     Ok(EventRecord {
-        at: SimTime::from_micros(u64_field(v, "at_us")?),
+        at: time_field(v, "at_us")?,
         trigger: parse_trigger(v.get("trigger").ok_or("missing event trigger")?)?,
-        ready: arr_field(v, "ready")?
-            .iter()
-            .map(|j| {
-                Ok::<_, String>(JobSnapshot {
-                    job: JobId(u64_field(j, "job")?),
-                    task: TaskId(u64_field(j, "task")? as usize),
-                    arrival: SimTime::from_micros(u64_field(j, "arrival_us")?),
-                    critical: SimTime::from_micros(u64_field(j, "critical_us")?),
-                    termination: SimTime::from_micros(u64_field(j, "termination_us")?),
-                    remaining: Cycles::new(u64_field(j, "remaining_cycles")?),
-                })
+        ready: list(v, "ready", |j| {
+            Ok(JobSnapshot {
+                job: JobId(u64_field(j, "job")?),
+                task: TaskId(u64_field(j, "task")? as usize),
+                arrival: time_field(j, "arrival_us")?,
+                critical: time_field(j, "critical_us")?,
+                termination: time_field(j, "termination_us")?,
+                remaining: Cycles::new(u64_field(j, "remaining_cycles")?),
             })
-            .collect::<Result<_, _>>()?,
+        })?,
         run: opt_u64_field(v, "run")?.map(JobId),
         frequency: Frequency::from_mhz(frequency_mhz),
-        aborts: arr_field(v, "aborts")?
-            .iter()
-            .map(|j| match j {
-                Json::Num(n) => n
-                    .parse::<u64>()
-                    .map(JobId)
-                    .map_err(|_| format!("bad abort id {n:?}")),
-                _ => Err("non-numeric abort id".into()),
-            })
-            .collect::<Result<_, _>>()?,
+        aborts: list(v, "aborts", |j| match j {
+            Json::Num(n) => n
+                .parse()
+                .map(JobId)
+                .map_err(|_| format!("bad abort id {n:?}")),
+            _ => Err("non-numeric abort id".into()),
+        })?,
         explanation: match v.get("explanation") {
             Some(Json::Null) | None => None,
             Some(x) => Some(parse_explanation(x)?),
@@ -870,37 +770,28 @@ fn parse_event(v: &Json) -> Result<EventRecord, String> {
     })
 }
 
-fn parse_explanation(v: &Json) -> Result<DecisionExplanation, String> {
+fn parse_explanation(v: &Json<'_>) -> Result<DecisionExplanation, String> {
     Ok(DecisionExplanation {
-        uer: arr_field(v, "uer")?
-            .iter()
-            .map(|u| {
-                Ok::<_, String>(UerEntry {
-                    job: JobId(u64_field(u, "job")?),
-                    uer: f64_field(u, "uer")?,
-                })
+        uer: list(v, "uer", |u| {
+            Ok(UerEntry {
+                job: JobId(u64_field(u, "job")?),
+                uer: f64_field(u, "uer")?,
             })
-            .collect::<Result<_, _>>()?,
-        schedule: arr_field(v, "schedule")?
-            .iter()
-            .map(|s| {
-                Ok::<_, String>(ScheduleEntry {
-                    job: JobId(u64_field(s, "job")?),
-                    predicted_finish: SimTime::from_micros(u64_field(s, "finish_us")?),
-                })
+        })?,
+        schedule: list(v, "schedule", |s| {
+            Ok(ScheduleEntry {
+                job: JobId(u64_field(s, "job")?),
+                predicted_finish: time_field(s, "finish_us")?,
             })
-            .collect::<Result<_, _>>()?,
-        aborts: arr_field(v, "aborts")?
-            .iter()
-            .map(|a| {
-                Ok::<_, String>(AbortWitness {
-                    job: JobId(u64_field(a, "job")?),
-                    remaining: Cycles::new(u64_field(a, "remaining_cycles")?),
-                    termination: SimTime::from_micros(u64_field(a, "termination_us")?),
-                    predicted_finish: SimTime::from_micros(u64_field(a, "predicted_finish_us")?),
-                })
+        })?,
+        aborts: list(v, "aborts", |a| {
+            Ok(AbortWitness {
+                job: JobId(u64_field(a, "job")?),
+                remaining: Cycles::new(u64_field(a, "remaining_cycles")?),
+                termination: time_field(a, "termination_us")?,
+                predicted_finish: time_field(a, "predicted_finish_us")?,
             })
-            .collect::<Result<_, _>>()?,
+        })?,
         dvs: match v.get("dvs") {
             Some(Json::Null) | None => None,
             Some(d) => Some(DvsExplanation {
@@ -922,7 +813,7 @@ fn parse_explanation(v: &Json) -> Result<DecisionExplanation, String> {
     })
 }
 
-fn parse_charge(v: &Json) -> Result<ChargeRecord, String> {
+fn parse_charge(v: &Json<'_>) -> Result<ChargeRecord, String> {
     let kind = match str_field(v, "kind")?.as_str() {
         "execute" => ChargeKind::Execute,
         "switch" => ChargeKind::Switch,
@@ -931,7 +822,7 @@ fn parse_charge(v: &Json) -> Result<ChargeRecord, String> {
         other => return Err(format!("unknown charge kind {other:?}")),
     };
     Ok(ChargeRecord {
-        at: SimTime::from_micros(u64_field(v, "at_us")?),
+        at: time_field(v, "at_us")?,
         kind,
         frequency_mhz: u64_field(v, "frequency_mhz")?,
         cycles: Cycles::new(u64_field(v, "cycles")?),

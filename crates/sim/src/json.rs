@@ -5,39 +5,46 @@
 //! byte-for-byte (`render(parse(s)) == s`) without external crates —
 //! the build environment is offline, so no `serde`.
 //!
-//! Numbers are kept as their literal token text ([`Json::Num`] wraps a
-//! `String`), which is what makes the round-trip exact: a parsed
-//! document re-renders to the same bytes because nothing is ever
-//! re-formatted through `f64`.
+//! Both layouts are written in one place, `Writer`: a tree renders
+//! through it, and a large document (a certificate) streams through it
+//! with no tree. [`Json`] borrows its text: numbers keep their literal
+//! token, so a parsed document re-renders to the same bytes, and [`parse`]
+//! allocates only containers and strings with escapes.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+/// The deepest nesting [`parse`] accepts — far above anything this
+/// workspace writes, and low enough that a hostile document cannot
+/// recurse the parser off the end of a worker thread's stack.
+pub const MAX_DEPTH: usize = 512;
 
 /// A JSON value. Object keys keep insertion order (no sorting), so a
 /// writer fully controls the byte layout.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, stored as its literal token text.
-    Num(String),
+    Num(Cow<'a, str>),
     /// A string (unescaped content).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// A number from an `f64`, via Rust's shortest-roundtrip `{:?}`
     /// formatting (deterministic across platforms). Non-finite values
     /// have no JSON representation and are rendered as `null`.
     #[must_use]
-    pub fn num(v: f64) -> Json {
+    pub fn num(v: f64) -> Json<'static> {
         if v.is_finite() {
-            Json::Num(format!("{v:?}"))
+            Json::Num(format!("{v:?}").into())
         } else {
             Json::Null
         }
@@ -45,8 +52,27 @@ impl Json {
 
     /// A number from an unsigned integer.
     #[must_use]
-    pub fn uint(v: u64) -> Json {
-        Json::Num(v.to_string())
+    pub fn uint(v: u64) -> Json<'static> {
+        Json::Num(v.to_string().into())
+    }
+
+    /// The same tree, owning its text, so it can outlive its input.
+    #[must_use]
+    pub fn into_owned(self) -> Json<'static> {
+        let own = |text: Cow<'_, str>| Cow::Owned(text.into_owned());
+        match self {
+            Json::Null => Json::Null,
+            Json::Bool(b) => Json::Bool(b),
+            Json::Num(n) => Json::Num(own(n)),
+            Json::Str(s) => Json::Str(own(s)),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(Json::into_owned).collect()),
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (own(k), v.into_owned()))
+                    .collect(),
+            ),
+        }
     }
 
     /// Renders the tree as pretty-printed JSON (2-space indent, `\n`
@@ -55,7 +81,7 @@ impl Json {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut Writer::pretty(&mut out));
         out.push('\n');
         out
     }
@@ -67,44 +93,34 @@ impl Json {
     #[must_use]
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut Writer::compact(&mut out));
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    fn write(&self, w: &mut Writer<'_>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.token(n),
+            Json::Str(s) => w.str(s),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
+                w.begin_arr();
+                items.iter().for_each(|item| item.write(w));
+                w.end_arr()
             }
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, key);
-                    out.push(':');
-                    value.write_compact(out);
+                w.begin_obj();
+                for (key, value) in fields {
+                    value.write(w.key(key));
                 }
-                out.push('}');
+                w.end_obj()
             }
-        }
+        };
     }
 
     /// Looks up a key in an object (first match); `None` elsewhere.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -122,266 +138,359 @@ impl Json {
 
     /// The items, if this is a [`Json::Arr`].
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
         }
     }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(n),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Writes JSON text in the layout of [`Json::render`] or of
+/// [`Json::render_compact`]. The caller writes the structure (values,
+/// `begin_*`/`end_*`, a `key` before each member), the writer
+/// every separator, newline and indent; a trailing newline is the caller's.
+pub(crate) struct Writer<'o> {
+    out: &'o mut String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container has no item yet.
+    empty: bool,
+    /// A key was just written, so the next value follows it directly.
+    after_key: bool,
+}
+
+impl<'o> Writer<'o> {
+    /// A writer in the pretty layout.
+    #[must_use]
+    pub fn pretty(out: &'o mut String) -> Self {
+        Writer {
+            out,
+            pretty: true,
+            depth: 0,
+            empty: true,
+            after_key: false,
+        }
+    }
+
+    /// A writer in the compact layout.
+    #[must_use]
+    pub fn compact(out: &'o mut String) -> Self {
+        Writer {
+            pretty: false,
+            ..Writer::pretty(out)
+        }
+    }
+
+    /// Starts an item: its separator, newline and indent.
+    fn item(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.after_key) && self.depth > 0 {
+            if !self.empty {
+                self.out.push(',');
+            }
+            self.empty = false;
+            self.newline();
+        }
+        self.out
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            (0..self.depth).for_each(|_| self.out.push_str("  "));
+        }
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.item().push(bracket);
+        self.depth += 1;
+        self.empty = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.empty = false;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Writes an object member's key; its value comes next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        write_escaped(self.item(), key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// Writes a number token (or a literal) verbatim.
+    fn token(&mut self, token: &str) -> &mut Self {
+        self.item().push_str(token);
+        self
+    }
+
+    /// Writes an unsigned integer.
+    pub fn uint(&mut self, v: u64) -> &mut Self {
+        let _ = write!(self.item(), "{v}");
+        self
+    }
+
+    /// Writes an `f64` as [`Json::num`] stores it: `{:?}`, or `null` when
+    /// it is not finite.
+    pub fn num(&mut self, v: f64) -> &mut Self {
+        if v.is_finite() {
+            let _ = write!(self.item(), "{v:?}");
+            self
+        } else {
+            self.null()
+        }
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        write_escaped(self.item(), s);
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.token("null")
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.token(if b { "true" } else { "false" })
     }
 }
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Unescaped runs are copied whole; every escaped character is
+    // ASCII, so each run ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 /// Parses a JSON document (the subset this module renders: no exotic
-/// escapes beyond `\" \\ \/ \n \r \t \uXXXX`).
+/// escapes beyond `\" \\ \/ \n \r \t \uXXXX`), borrowing from `input`.
 ///
 /// # Errors
 ///
 /// A human-readable message naming the byte offset of the first
-/// malformed token, or trailing garbage after the document.
-pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+/// malformed token or of nesting deeper than [`MAX_DEPTH`], or trailing
+/// garbage after the document.
+pub fn parse(input: &str) -> Result<Json<'_>, String> {
+    let mut p = Parser {
+        text: input,
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != input.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("malformed literal at byte {pos}", pos = *pos))
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn value(&mut self) -> Result<Json<'a>, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'{') => self.container(b'}'),
+            Some(b'[') => self.container(b']'),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => self.number(),
+        }
     }
-    let digits_start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return Err(format!("expected a number at byte {start}"));
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("invalid utf-8 in number at byte {start}"))?;
-    // Validate through Rust's float parser without re-formatting.
-    text.parse::<f64>()
-        .map_err(|_| format!("malformed number {text:?} at byte {start}"))?;
-    Ok(Json::Num(text.to_string()))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| "invalid utf-8 in \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
-                        );
-                        *pos += 4;
+    /// An array (`close == b']'`) or an object (`close == b'}'`).
+    fn container(&mut self, close: u8) -> Result<Json<'a>, String> {
+        if self.depth == MAX_DEPTH {
+            let pos = self.pos;
+            return Err(format!("nested deeper than {MAX_DEPTH} at byte {pos}"));
+        }
+        self.depth += 1;
+        self.pos += 1; // consume the opening bracket
+        let (mut items, mut fields, want) = (Vec::new(), Vec::new(), close as char);
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                if close == b']' {
+                    items.push(self.value()?);
+                } else {
+                    self.skip_ws();
+                    if self.peek() != Some(b'"') {
+                        return Err(format!("expected a key at byte {}", self.pos));
                     }
-                    _ => return Err(format!("unknown escape at byte {pos}", pos = *pos)),
+                    let key = self.string()?;
+                    self.skip_ws();
+                    if self.peek() != Some(b':') {
+                        return Err(format!("expected ':' at byte {}", self.pos));
+                    }
+                    self.pos += 1;
+                    fields.push((key, self.value()?));
                 }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one multi-byte UTF-8 scalar. Validate only a
-                // bounded 4-byte window — validating the whole remaining
-                // input per character would make parsing quadratic.
-                let end = (*pos + 4).min(bytes.len());
-                let c = match std::str::from_utf8(&bytes[*pos..end]) {
-                    Ok(s) => s.chars().next(),
-                    Err(e) => std::str::from_utf8(&bytes[*pos..*pos + e.valid_up_to()])
-                        .ok()
-                        .and_then(|s| s.chars().next()),
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => return Err(format!("expected ',' or '{want}' at byte {}", self.pos)),
                 }
-                .ok_or_else(|| format!("invalid utf-8 at byte {pos}", pos = *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
+        self.pos += 1; // consume the closing bracket
+        self.depth -= 1;
+        Ok(match close {
+            b']' => Json::Arr(items),
+            _ => Json::Obj(fields),
+        })
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+    fn literal(&mut self, lit: &str, value: Json<'a>) -> Result<Json<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("malformed literal at byte {}", self.pos))
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
+    fn number(&mut self) -> Result<Json<'a>, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let digits_start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        if self.pos == digits_start {
+            return Err(format!("expected a number at byte {start}"));
+        }
+        let text = &self.text[start..self.pos];
+        // Validate through Rust's float parser without re-formatting; a
+        // run of ASCII digits always passes it.
+        if !text.bytes().all(|b| b.is_ascii_digit()) {
+            text.parse::<f64>()
+                .map_err(|_| format!("malformed number {text:?} at byte {start}"))?;
+        }
+        Ok(Json::Num(Cow::Borrowed(text)))
     }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected a key at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
+
+    /// A string, borrowed from the input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let bytes = self.text.as_bytes();
+        self.pos += 1; // consume '"'
+        let start = self.pos;
+        let mut owned: Option<String> = None;
+        loop {
+            // Both stop bytes are ASCII, so every slice taken here ends
+            // on a char boundary of the (valid UTF-8) input.
+            let run = self.pos;
+            while !matches!(bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+            if let Some(s) = &mut owned {
+                s.push_str(&self.text[run..self.pos]);
+            }
+            match bytes.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    let borrowed = Cow::Borrowed(&self.text[start..self.pos - 1]);
+                    return Ok(owned.map_or(borrowed, Cow::Owned));
+                }
+                Some(_) => {}
+            }
+            let s = owned.get_or_insert_with(|| self.text[start..self.pos].to_string());
+            self.pos += 1; // consume '\\'
+            s.push(match bytes.get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let hex = bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| "truncated \\u escape".to_string())?;
+                    let hex = std::str::from_utf8(hex)
+                        .map_err(|_| "invalid utf-8 in \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
+                    self.pos += 4;
+                    char::from_u32(code).ok_or_else(|| format!("invalid codepoint \\u{hex}"))?
+                }
+                _ => return Err(format!("unknown escape at byte {}", self.pos)),
+            });
+            self.pos += 1;
         }
     }
 }
@@ -442,7 +551,7 @@ mod tests {
         let texts: Vec<&str> = items
             .iter()
             .map(|v| match v {
-                Json::Num(n) => n.as_str(),
+                Json::Num(n) => n.as_ref(),
                 other => panic!("expected numbers, got {other:?}"),
             })
             .collect();
@@ -489,5 +598,82 @@ mod tests {
         assert_eq!(Json::num(f64::NAN), Json::Null);
         assert_eq!(Json::num(f64::INFINITY), Json::Null);
         assert_eq!(Json::num(1.5), Json::Num("1.5".into()));
+    }
+
+    #[test]
+    fn parse_borrows_everything_but_escaped_strings() {
+        let text = r#"{"plain": "abc", "escaped": "a\nb", "n": 12}"#;
+        let Json::Obj(fields) = parse(text).unwrap() else {
+            panic!("expected an object")
+        };
+        let borrowed = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
+        assert!(fields.iter().all(|(k, _)| borrowed(k)), "keys borrow");
+        assert!(matches!(&fields[0].1, Json::Str(s) if borrowed(s)));
+        assert!(matches!(&fields[1].1, Json::Str(s) if !borrowed(s) && s == "a\nb"));
+        assert!(matches!(&fields[2].1, Json::Num(n) if borrowed(n)));
+    }
+
+    #[test]
+    fn into_owned_outlives_its_input() {
+        let owned = {
+            let text = String::from(r#"{"k": ["v", 1, null]}"#);
+            parse(&text).unwrap().into_owned()
+        };
+        assert_eq!(owned.render_compact(), r#"{"k":["v",1,null]}"#);
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_off_the_stack() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok(), "{MAX_DEPTH} levels parse");
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            parse(&over).unwrap_err(),
+            format!("nested deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse(&objects).unwrap_err().starts_with("nested deeper"));
+    }
+
+    #[test]
+    fn writer_streams_the_layouts_render_uses() {
+        let doc = Json::Obj(vec![
+            (
+                "a".into(),
+                Json::Arr(vec![Json::uint(0), Json::uint(u64::MAX)]),
+            ),
+            ("b".into(), Json::Obj(vec![])),
+            ("c".into(), Json::Arr(vec![Json::Arr(vec![]), Json::Null])),
+            ("d".into(), Json::num(-0.25)),
+            ("e".into(), Json::Str("q\"\u{1f}".into())),
+            ("f".into(), Json::Bool(false)),
+        ]);
+        for pretty in [true, false] {
+            let mut out = String::new();
+            let mut w = if pretty {
+                Writer::pretty(&mut out)
+            } else {
+                Writer::compact(&mut out)
+            };
+            w.begin_obj();
+            w.key("a").begin_arr().uint(0).uint(u64::MAX).end_arr();
+            w.key("b").begin_obj().end_obj();
+            w.key("c")
+                .begin_arr()
+                .begin_arr()
+                .end_arr()
+                .num(f64::NAN)
+                .end_arr();
+            w.key("d").num(-0.25);
+            w.key("e").str("q\"\u{1f}");
+            w.key("f").bool(false);
+            w.end_obj();
+            if pretty {
+                out.push('\n');
+                assert_eq!(out, doc.render());
+            } else {
+                assert_eq!(out, doc.render_compact());
+            }
+        }
     }
 }
