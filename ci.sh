@@ -204,9 +204,6 @@ else
   echo "skipped (set EUA_MIRI=1 to enable)"
 fi
 
-step "bench smoke under --jobs 2"
-cargo run -q -p eua-bench --bin fig2 -- --quick --energy e1 --jobs 2 >/dev/null
-
 step "figure results gate (--jobs 2, cmp against results/)"
 # Reruns the figure binaries at their standard configs and byte-compares
 # every CSV and SVG with the committed results/, so a change that moves
